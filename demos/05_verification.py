@@ -4,7 +4,7 @@ Cross-checking the fast oracle against brute force
 
 The package carries an independent reference implementation that
 enumerates every simple path.  On small random graphs we can compare
-the O(1)-per-query answers against it exhaustively, and additionally
+the oracle's O(k)-per-edge answers against it exhaustively, and additionally
 confirm the perturbation meaning of each finite tolerance: shifting
 the capacity by the tolerance keeps the chosen path optimal, one more
 unit breaks it.

@@ -12,7 +12,8 @@ Subcommands:
   oracle against the brute-force reference; prints the first counterexample
   verbatim on failure.
 * ``bench [N] [M] [K] [QUERIES] [SEED]`` — timing report, one "key value"
-  line each.
+  line each; query times cover one served answer (kernel plus record
+  formatting), as ``serve`` computes it.
 
 Exit codes: 0 success, 1 validation/verification failure (including parse
 errors), 2 I/O or usage errors.  Tolerances print as integers or lowercase
@@ -43,10 +44,6 @@ BENCH_DEFAULTS = (100_000, 500_000, 1_000, 100_000, 7)
 PAIRS_PER_VERIFY_INSTANCE = 6
 
 
-def _fmt(value) -> str:
-    return "inf" if value == math.inf else str(value)
-
-
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -72,11 +69,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _answer_lines(oracle: ToleranceOracle, e: int) -> list[str]:
-    lines = []
-    for i, (lower, upper) in enumerate(oracle.query_edge(e), start=1):
-        pair = oracle.contexts[i - 1].pair
-        lines.append(f"{i} {pair.s} {pair.t} {_fmt(lower)} {_fmt(upper)}")
+def _pair_records(oracle: ToleranceOracle) -> tuple[list[str], list[str]]:
+    """Each pair's "i s t " prefix and its all-inf record."""
+    prefixes = [f"{i} {c.pair.s} {c.pair.t} "
+                for i, c in enumerate(oracle.contexts, start=1)]
+    return prefixes, [p + "inf inf" for p in prefixes]
+
+
+def _answer_lines(oracle: ToleranceOracle, e: int,
+                  records: tuple[list[str], list[str]] | None = None) -> list[str]:
+    """The k records answering edge e.  ``records`` is ``_pair_records(oracle)``,
+    which a caller answering many edges builds once; without it they are
+    built per call.  Only pairs with a finite side are formatted, the rest are
+    copied from the all-inf records."""
+    prefixes, unbounded = records or _pair_records(oracle)
+    lines = unbounded.copy()
+    for i, lo, up in oracle.finite_entries(e):
+        lines[i] = f"{prefixes[i]}{lo} {up}"  # INFINITY prints as "inf"
     return lines
 
 
@@ -104,6 +113,7 @@ def cmd_serve(args) -> int:
     g = _load_validated(args.graph, args.break_ties)
     pairs = parse_pairs(_read_text(args.pairs), g.n)
     oracle = preprocess(g, pairs)
+    records = _pair_records(oracle)
     out = sys.stdout
     for line in sys.stdin:
         if not line.strip():
@@ -112,9 +122,9 @@ def cmd_serve(args) -> int:
         if e is None:
             out.write("error unknown-edge\n")
         else:
-            for record in _answer_lines(oracle, e):
-                out.write(record + "\n")
-            out.write("\n")
+            lines = _answer_lines(oracle, e, records)
+            lines += ("", "")  # each answer ends with a blank line
+            out.write("\n".join(lines))
         out.flush()
     return EXIT_OK
 
@@ -124,16 +134,19 @@ def cmd_all(args) -> int:
     pairs = parse_pairs(_read_text(args.pairs), g.n)
     oracle = preprocess(g, pairs)
     out = sys.stdout
+    records = _pair_records(oracle)
     out.write(f"{g.n} {g.m} {len(pairs)}\n")
     for e in g.edge_ids():
-        for record in _answer_lines(oracle, e):
-            out.write(record + "\n")
+        lines = _answer_lines(oracle, e, records)
+        lines.append("")
+        out.write("\n".join(lines))
     return EXIT_OK
 
 
 def _verify_one(g: CapacitatedGraph, pairs: list[QueryPair]) -> tuple[int, str | None]:
     """Cross-check one instance; (comparison count, first mismatch or None)."""
     oracle = preprocess(g, pairs)
+    answers = {e: oracle.query_edge(e) for e in g.edge_ids()}
     checked = 0
     for i, pair in enumerate(pairs):
         analysis = PairAnalysis(g, pair.s, pair.t)
@@ -142,7 +155,7 @@ def _verify_one(g: CapacitatedGraph, pairs: list[QueryPair]) -> tuple[int, str |
                              f"fast {oracle.bottleneck_value(i)} "
                              f"brute {analysis.bottleneck}")
         for e in g.edge_ids():
-            fast = oracle.query_edge_for_pair(e, i)
+            fast = answers[e][i]
             ref = analysis.tolerances(e)
             checked += 1
             if fast != ref:
@@ -223,11 +236,11 @@ def cmd_bench(args) -> int:
     preprocess_seconds = time.perf_counter() - t0
 
     edge_stream = random_query_edges(m, queries, seed ^ 0xBE7C)
+    records = _pair_records(oracle)
     times = []
-    query = oracle.query_edge_arrays
     for e in edge_stream.tolist():
         t0 = time.perf_counter()
-        query(e)
+        _answer_lines(oracle, e, records)
         times.append(time.perf_counter() - t0)
     times.sort()
     mean = sum(times) / len(times)

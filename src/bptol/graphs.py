@@ -32,7 +32,8 @@ class CapacitatedGraph:
     """
 
     __slots__ = ("n", "m", "edge_u", "edge_v", "edge_cap", "_adj_indptr",
-                 "_adj_neighbor", "_adj_edge", "_endpoint_map")
+                 "_adj_neighbor", "_adj_edge", "_endpoint_keys",
+                 "_endpoint_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         edge_list = list(edges)
@@ -47,7 +48,9 @@ class CapacitatedGraph:
             self.edge_v[i] = v
             self.edge_cap[i] = c
         self._build_adjacency()
-        self._endpoint_map: dict[tuple[int, int], int] | None = None
+        # sorted endpoint keys and their edge ids, built by edge_between
+        self._endpoint_keys: np.ndarray | None = None
+        self._endpoint_edges: np.ndarray | None = None
 
     def _build_adjacency(self) -> None:
         # CSR layout: incident edges of v are positions indptr[v]..indptr[v+1],
@@ -86,14 +89,27 @@ class CapacitatedGraph:
         return range(1, self.m + 1)
 
     def edge_between(self, u: int, v: int) -> int | None:
-        """EdgeId joining u and v, or None.  Builds a lookup map on first use."""
-        if self._endpoint_map is None:
-            self._endpoint_map = {}
-            for e in range(1, self.m + 1):
-                a, b = self.edge_u[e], self.edge_v[e]
-                self._endpoint_map[(a, b) if a < b else (b, a)] = e
-        key = (u, v) if u < v else (v, u)
-        return self._endpoint_map.get(key)
+        """EdgeId joining u and v, or None.
+
+        Looks the key lo*(n+1)+hi up in a sorted key column built on first
+        use; when several edges join u and v, the last one wins.
+        """
+        lo, hi = (u, v) if u < v else (v, u)
+        if not (1 <= lo and hi <= self.n):
+            return None
+        if self._endpoint_keys is None:
+            us = np.array(self.edge_u, dtype=np.int64)
+            vs = np.array(self.edge_v, dtype=np.int64)
+            keys = np.minimum(us, vs) * (self.n + 1) + np.maximum(us, vs)
+            keys[0] = -1  # slot 0 is not an edge
+            order = np.argsort(keys, kind="stable")
+            self._endpoint_edges = order
+            self._endpoint_keys = keys[order]
+        key = lo * (self.n + 1) + hi
+        pos = int(np.searchsorted(self._endpoint_keys, key, side="right")) - 1
+        if self._endpoint_keys[pos] != key:
+            return None
+        return int(self._endpoint_edges[pos])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CapacitatedGraph):

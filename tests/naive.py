@@ -6,6 +6,7 @@ shares code with the structures under test.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from bptol import CapacitatedGraph, SpanningTree
@@ -99,6 +100,30 @@ def naive_lower_replacements(g: CapacitatedGraph, tree: SpanningTree):
         if e not in tree:
             table[e] = None
     return tuple(table)
+
+
+def naive_tolerances(g: CapacitatedGraph, tree: SpanningTree, s: int, t: int):
+    """(lower, upper) per edge id for pair (s, t), math.inf when unbounded.
+
+    The closed-form case analysis evaluated over an explicit tree path and
+    the definition-level U/L tables above, in Python integers; slot 0 unused.
+    """
+    path = tree_path_edges(g, tree.edge_ids, s, t)
+    e_star = min(path, key=lambda e: (g.edge_cap[e], e))
+    upper_rep = naive_upper_replacements(g, tree)
+    lower_rep = naive_lower_replacements(g, tree)
+    cap = g.edge_cap
+    out = [None]
+    for e in g.edge_ids():
+        if e in path:
+            rep = lower_rep[e]
+            lower = math.inf if rep is None else cap[e] - min(cap[rep], cap[e_star])
+            out.append((lower, math.inf))
+        elif upper_rep[e] == e_star:
+            out.append((math.inf, cap[e_star] - cap[e]))
+        else:
+            out.append((math.inf, math.inf))
+    return out
 
 
 def spanning_tree_edge_sets(g: CapacitatedGraph):

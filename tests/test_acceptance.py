@@ -59,7 +59,7 @@ def test_criterion_2_unbounded_increase_on_shadowed_edge():
 
     Every detour through edge 4 is already capped at the current optimum by
     its other edges, so no finite capacity increase dethrones the fixed
-    path: the supremum definition, a perturbation sweep, and the O(1)
+    path: the supremum definition, a perturbation sweep, and the oracle's
     case analysis all answer (inf, inf).
     """
     g = diamond_example()
@@ -70,7 +70,7 @@ def test_criterion_2_unbounded_increase_on_shadowed_edge():
     for delta in (1, 2, 4, 10, 1_000, 10**9):
         assert analysis.still_optimal(4, delta) is True
         assert analysis.still_optimal(4, -delta) is True
-    # Route 3: the O(1) query.
+    # Route 3: the oracle's query.
     o = preprocess(g, [(1, 4)])
     assert o.query_edge_for_pair(4, 0) == (INFINITY, INFINITY)
 

@@ -113,6 +113,43 @@ def test_all_with_no_pairs_emits_header_only():
     assert r.stdout == "3 3 0\n"
 
 
+def test_all_and_serve_are_exact_at_int64_extremes(tmp_path):
+    # Pair (1,3) rides edges 1 and 2; every finite answer is a difference of
+    # two capacities, at unit size near 2**62 and near 2**64 at the ends.
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1\n1 3\n")
+    for caps, answers in (
+        ((2**62 + 2, 2**62 + 1, 2**62), ("2 inf", "1 inf", "inf 1")),
+        ((2**63 - 1, 2**63 - 2, -2**63),
+         ("18446744073709551615 inf", "18446744073709551614 inf",
+          "inf 18446744073709551614")),
+    ):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("3 3\n1 2 {}\n2 3 {}\n1 3 {}\n".format(*caps))
+        r = run_cli("all", str(graph), str(pairs))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "3 3 1\n" + "".join(f"1 1 3 {a}\n" for a in answers)
+        r = run_cli("serve", str(graph), str(pairs), stdin="1 3\nedge 2\n")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == f"1 1 3 {answers[2]}\n\n1 1 3 {answers[1]}\n\n"
+
+
+def test_tied_capacities_print_zero_tolerances(tmp_path):
+    # Under --break-ties edges 2 and 3 tie at 3 and edge 3 is the tree edge;
+    # a difference of 0 is finite and prints as 0, not inf.
+    graph = tmp_path / "graph.txt"
+    graph.write_text("3 3\n1 2 5\n2 3 3\n1 3 3\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1\n1 3\n")
+    r = run_cli("all", "--break-ties", str(graph), str(pairs))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "3 3 1\n1 1 3 inf inf\n1 1 3 inf 0\n1 1 3 0 inf\n"
+    r = run_cli("serve", "--break-ties", str(graph), str(pairs),
+                stdin="1 3\nedge 2\n")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1 1 3 0 inf\n\n1 1 3 inf 0\n\n"
+
+
 def test_serve_agrees_with_all_record_for_record():
     dump = run_cli("all", G2, G2_PAIRS).stdout.splitlines()
     n, m, k = map(int, dump[0].split())

@@ -98,6 +98,20 @@ def test_adjacency_and_lookups():
     assert list(g.edge_ids()) == [1, 2, 3, 4, 5]
 
 
+def test_edge_between_misses_and_repeats():
+    g = diamond_example()
+    assert g.edge_between(0, 2) is None
+    assert g.edge_between(4, 5) is None
+    assert g.edge_between(3, 3) is None
+    for e in g.edge_ids():
+        u, v = g.endpoints(e)
+        assert g.edge_between(u, v) == g.edge_between(v, u) == e
+    # unvalidated input: a repeated endpoint pair resolves to its last edge
+    g = CapacitatedGraph(3, [(1, 2, 1), (2, 1, 2), (2, 3, 3)])
+    assert g.edge_between(1, 2) == 2
+    assert CapacitatedGraph(1, []).edge_between(1, 1) is None
+
+
 def test_capacity_ranks_sentinel_and_order():
     g = triangle_example()  # caps 5, 3, 1
     rank = capacity_ranks(g)

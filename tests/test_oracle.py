@@ -1,6 +1,5 @@
-"""Tolerance oracle: preprocessing, O(1) per-pair queries, invariants."""
+"""Tolerance oracle: preprocessing, the O(k) query kernel, invariants."""
 
-import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from bptol.graphs import (
+    CapacitatedGraph,
     diamond_example,
     parse_pairs,
     single_edge_example,
@@ -16,6 +16,8 @@ from bptol.graphs import (
 from bptol.oracle import INFINITY, EdgeTolerances, preprocess
 from bptol.randgraph import all_connected_graphs, random_connected_graph, sample_pairs
 from bptol.reference import PairAnalysis
+
+from naive import naive_tolerances
 
 INF = INFINITY
 
@@ -108,19 +110,101 @@ def test_query_purity():
             assert o.query_edge(e) == first
 
 
+def _check_kernel(o, g, pairs):
+    expected = [naive_tolerances(g, o.tree, p.s, p.t) for p in pairs]
+    for e in range(1, g.m + 1):
+        lows, ups, low_fin, up_fin = o.query_edge_arrays(e)
+        assert lows.dtype == ups.dtype == np.uint64
+        assert low_fin.dtype == up_fin.dtype == bool
+        assert lows.shape == ups.shape == low_fin.shape == up_fin.shape == (len(pairs),)
+        want = [per_edge[e] for per_edge in expected]
+        assert low_fin.tolist() == [lo is not INF for lo, _ in want]
+        assert up_fin.tolist() == [up is not INF for _, up in want]
+        assert lows.tolist() == [0 if lo is INF else lo for lo, _ in want]
+        assert ups.tolist() == [0 if up is INF else up for _, up in want]
+
+
 def test_batch_matches_scalar():
+    # The uint64 kernel (values plus finite masks) against the naive closed
+    # form, which walks explicit tree paths over definition-level U/L tables.
+    # These instances reach n=12 with dense edges, beyond what PairAnalysis
+    # can enumerate.
     rng = random.Random(314)
     for _ in range(60):
         g = random_connected_graph(rng, 12)
         pairs = sample_pairs(rng, g.n, rng.randint(1, 6))
+        _check_kernel(preprocess(g, pairs), g, pairs)
+
+
+def test_batch_matches_scalar_with_tied_capacities():
+    # Coarsened capacities tie often, so finite tolerances of 0 occur; only
+    # the masks tell them from +inf.
+    rng = random.Random(2718)
+    zeros = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, 10)
+        g = CapacitatedGraph(g.n, [(g.edge_u[e], g.edge_v[e], g.edge_cap[e] // 8)
+                                   for e in g.edge_ids()])
+        pairs = sample_pairs(rng, g.n, rng.randint(1, 6))
         o = preprocess(g, pairs)
-        for e in range(1, g.m + 1):
-            lows, ups = o.query_edge_arrays(e)
-            scalar = o.query_edge(e)
-            assert lows.shape == ups.shape == (len(pairs),)
-            for i, (lo, up) in enumerate(scalar):
-                assert lows[i] == (float(lo) if lo is not INF else math.inf)
-                assert ups[i] == (float(up) if up is not INF else math.inf)
+        _check_kernel(o, g, pairs)
+        for e in g.edge_ids():
+            answer = o.query_edge_arrays(e)
+            zeros += int(((answer.lower == 0) & answer.lower_finite).sum()
+                         + ((answer.upper == 0) & answer.upper_finite).sum())
+    assert zeros > 0
+
+
+def test_zero_tolerance_under_ties_is_finite():
+    # Edges 2 and 3 tie at 3; the tie-break puts edge 3 in the tree, so a
+    # shift of 1 on either edge changes which path is optimal.
+    g = CapacitatedGraph(3, [(1, 2, 5), (2, 3, 3), (1, 3, 3)])
+    o = preprocess(g, [(1, 3)])
+    assert o.query_edge(1) == [(INF, INF)]
+    assert o.query_edge(2) == [(INF, 0)]
+    assert o.query_edge(3) == [(0, INF)]
+    assert type(o.query_edge(2)[0].upper) is int
+    assert o.query_edge_for_pair(3, 0) == (0, INF)
+    answer = o.query_edge_arrays(3)
+    assert answer.lower.tolist() == [0] and answer.lower_finite.tolist() == [True]
+    assert answer.upper_finite.tolist() == [False]
+
+
+def test_exact_near_2_62():
+    # Path 1-2-3 with bottleneck edge 2; a float64 kernel rounds both
+    # unit-sized answers here to 0.
+    g = CapacitatedGraph(3, [(1, 2, 2**62 + 2), (2, 3, 2**62 + 1), (1, 3, 2**62)])
+    o = preprocess(g, [(1, 3)])
+    assert o.query_edge(1) == [(2, INF)]
+    assert o.query_edge(2) == [(1, INF)]
+    assert o.query_edge(3) == [(INF, 1)]
+    lows, ups, low_fin, up_fin = o.query_edge_arrays(2)
+    assert (lows.tolist(), ups.tolist()) == ([1], [0])
+    assert (low_fin.tolist(), up_fin.tolist()) == ([True], [False])
+    lows, ups, low_fin, up_fin = o.query_edge_arrays(3)
+    assert (lows.tolist(), ups.tolist()) == ([0], [1])
+    assert (low_fin.tolist(), up_fin.tolist()) == ([False], [True])
+    analysis = PairAnalysis(g, 1, 3)
+    for e in (1, 2, 3):
+        assert o.query_edge_for_pair(e, 0) == analysis.tolerances(e)
+
+
+def test_exact_over_full_int64_range():
+    # Differences of int64 capacities reach 2**64 - 1, still exact.
+    g = CapacitatedGraph(3, [(1, 2, 2**63 - 1), (2, 3, 2**63 - 2), (1, 3, -2**63)])
+    o = preprocess(g, [(1, 3)])
+    assert o.query_edge(1) == [(2**64 - 1, INF)]
+    assert o.query_edge(2) == [(18446744073709551614, INF)]
+    assert o.query_edge(3) == [(INF, 18446744073709551614)]
+    for e in (1, 2, 3):
+        (lo, up), = o.query_edge(e)
+        assert type(lo if up is INF else up) is int
+    lows, ups, low_fin, up_fin = o.query_edge_arrays(3)
+    assert (lows.tolist(), ups.tolist()) == ([0], [18446744073709551614])
+    assert (low_fin.tolist(), up_fin.tolist()) == ([False], [True])
+    analysis = PairAnalysis(g, 1, 3)
+    for e in (1, 2, 3):
+        assert o.query_edge_for_pair(e, 0) == analysis.tolerances(e)
 
 
 def test_parallel_queries_agree_with_serial():

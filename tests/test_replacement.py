@@ -11,7 +11,7 @@ from bptol.graphs import (
     triangle_example,
 )
 from bptol.mst import build_max_spanning_tree
-from bptol.randgraph import random_connected_graph
+from bptol.randgraph import random_benchmark_graph, random_connected_graph
 from bptol.replacement import (
     build_replacement_tables,
     compute_lower_replacements,
@@ -160,3 +160,32 @@ def test_lower_entries_point_at_covering_edges():
             assert rep not in tree
             u, v = g.endpoints(rep)
             assert idx.edge_on_path(e, u, v)
+
+
+def test_tables_span_several_batches():
+    # ~18k non-tree edges cross the batch boundaries of both tables, and on
+    # this sparse graph thousands of L entries come from the later batches.
+    # U must equal the scalar path-minimum query; L must equal a plain walk
+    # of each fundamental path in decreasing capacity order from the scalar
+    # LCA.
+    g = random_benchmark_graph(17_000, 35_000, seed=5)
+    rank = capacity_ranks(g)
+    tree = build_max_spanning_tree(g, rank=rank)
+    idx = build_index(tree, g, rank=rank)
+    table = compute_upper_replacements(g, tree, idx)
+    assert sum(e is not None for e in table) == g.m - (g.n - 1)
+    for e in g.edge_ids():
+        expected = None if e in tree else idx.path_min_edge(*g.endpoints(e))
+        assert table[e] == expected
+    expected = [None] * (g.m + 1)
+    non_tree = [e for e in g.edge_ids() if e not in tree]
+    for f in sorted(non_tree, key=lambda e: rank[e], reverse=True):
+        x, y = g.endpoints(f)
+        z = idx.lca(x, y)
+        for v in (x, y):
+            while v != z:
+                te = idx.parent_edge[v]
+                if expected[te] is None:
+                    expected[te] = f
+                v = idx.parent[v]
+    assert list(compute_lower_replacements(g, tree, idx)) == expected
