@@ -43,8 +43,9 @@ class DisjointSets:
             x = parent[x]
         return x
 
-    def join(self, x, y) -> None:
-        """Merge the subsets whose canonical elements are x and y (x != y)."""
+    def join(self, x, y):
+        """Merge the subsets whose canonical elements are x and y (x != y);
+        returns the canonical element of the merged subset."""
         parent = self._parent
         if parent.get(x) != x:
             raise ValueError(f"{x!r} is not a canonical element")
@@ -59,6 +60,7 @@ class DisjointSets:
         if rank[x] == rank[y]:
             rank[x] += 1
         self._count -= 1
+        return x
 
     def union(self, a, b) -> bool:
         """Merge the subsets containing a and b; True if they were distinct."""

@@ -3,10 +3,19 @@
 With pairwise-distinct capacities the maximum spanning tree is unique, so the
 result is independent of edge input order.  The descending scan uses the same
 rank order as every other capacity comparison in the library.
+
+The same pass records the merge chain.  Each component keeps its vertices as
+one run; when tree edge f joins components A and B, B's run is appended to
+A's and f is stored at the junction between them.  The final run lists all n
+vertices, and between any two of them the junction of least rank is the
+minimum-rank edge on their tree path: f has lower rank than every edge
+already inside A or B, and every path from A to B crosses f.  This is the
+Kruskal reconstruction tree read as a Cartesian tree over the chain, so one
+range-minimum table answers every tree-path minimum (see tree_index).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,9 +25,16 @@ from .graphs import CapacitatedGraph, capacity_ranks
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """n-1 tree edge ids plus a per-edge membership flag (index 0 unused)."""
+    """n-1 tree edge ids plus a per-edge membership flag (index 0 unused).
+
+    ``chain`` holds the n vertices in merge order and ``junction[i]`` the tree
+    edge between chain[i] and chain[i+1]; both are int64 arrays, read only,
+    and take no part in comparison.
+    """
     edge_ids: frozenset[int]
     is_tree_edge: tuple[bool, ...]
+    chain: np.ndarray = field(compare=False, repr=False)
+    junction: np.ndarray = field(compare=False, repr=False)
 
     def __contains__(self, e: int) -> bool:
         return self.is_tree_edge[e]
@@ -30,16 +46,35 @@ def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None)
         rank = capacity_ranks(g)
     order = np.argsort(rank[1:], kind="stable")[::-1] + 1
     sets = DisjointSets(range(1, g.n + 1))
+    find, join = sets.find, sets.join
     flags = [False] * (g.m + 1)
     chosen = []
     needed = g.n - 1
     edge_u, edge_v = g.edge_u, g.edge_v
+    # each component's run is first[r] .. last[r] by following succ; via[v]
+    # is the tree edge at the junction between v and succ[v]
+    first = list(range(g.n + 1))
+    last = list(range(g.n + 1))
+    succ = [0] * (g.n + 1)
+    via = [0] * (g.n + 1)
     for e in map(int, order):
-        if sets.union(edge_u[e], edge_v[e]):
-            flags[e] = True
-            chosen.append(e)
-            if len(chosen) == needed:
-                break
+        a, b = find(edge_u[e]), find(edge_v[e])
+        if a == b:
+            continue
+        succ[last[a]] = first[b]
+        via[last[a]] = e
+        r = join(a, b)
+        first[r], last[r] = first[a], last[b]
+        flags[e] = True
+        chosen.append(e)
+        if len(chosen) == needed:
+            break
     if len(chosen) != needed:
         raise ValueError("graph is not connected")
-    return SpanningTree(frozenset(chosen), tuple(flags))
+    chain = [first[find(1)]]
+    for _ in range(needed):
+        chain.append(succ[chain[-1]])
+    junction = np.array([via[v] for v in chain[:-1]], dtype=np.int64)
+    chain_arr = np.array(chain, dtype=np.int64)
+    chain_arr.flags.writeable = junction.flags.writeable = False
+    return SpanningTree(frozenset(chosen), tuple(flags), chain_arr, junction)

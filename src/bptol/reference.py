@@ -32,6 +32,9 @@ from dataclasses import dataclass
 from .graphs import CapacitatedGraph
 from .oracle import EdgeTolerances, Tolerance
 
+# The guard is on n, but enumeration cost grows with the number of simple
+# paths, i.e. with m: one dense graph at n=12, m=56 took ~114 s for four
+# PairAnalysis pairs.  Near the limit keep graphs sparse.
 MAX_ENUMERATION_N = 12
 
 

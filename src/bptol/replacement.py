@@ -11,23 +11,24 @@ Two tables are produced over a graph G with maximum spanning tree T:
   non-tree edges.
 
 Capacities are pairwise distinct, so each replacement edge is unique when it
-exists.  U costs one path-minimum query per non-tree edge, made in batches.
-L runs the classic contraction scheme: split each non-tree edge (x,y) at
-z = lca(x,y), found by batched LCA queries, into ancestor--descendant
-halves, scan the halves in decreasing capacity order, and walk each half
-upward through a union-find over tree vertices, assigning the current
-non-tree edge to every not-yet-covered tree edge on the way.  Each tree edge
-is contracted exactly once, so the scan is near-linear after sorting.
+exists.  U costs one O(1) range-minimum query per non-tree edge, made in
+batches.  L needs no LCA; it is the contraction walk of Tarjan's offline
+path-compression MST verification.  Scan the non-tree edges in decreasing
+capacity order over a union-find of tree vertices whose sets are subtrees
+with every internal edge covered.  For edge (x,y), repeatedly take the
+deeper of the two set tops, assign the current edge to its still-uncovered
+parent edge and join its set to the parent's, until x and y share a set.
+Each tree edge is contracted exactly once, so the scan is near-linear after
+sorting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .dsu import DisjointSets
-from .graphs import CapacitatedGraph, capacity_ranks
+from .graphs import CapacitatedGraph
 from .mst import SpanningTree
 from .tree_index import RootedTreeIndex
 
@@ -72,13 +73,16 @@ def compute_lower_replacements(g: CapacitatedGraph, tree: SpanningTree,
                                idx: RootedTreeIndex) -> tuple[int | None, ...]:
     """L table: per tree edge, the max-capacity non-tree edge covering it.
 
-    Split halves are scanned in decreasing capacity.  Each union-find set is
-    the vertex set of a subtree of T whose internal edges are all covered;
+    Non-tree edges are scanned in decreasing capacity.  Each union-find set
+    is the vertex set of a subtree of T whose internal edges are all covered;
     ``top`` maps a set's canonical element to its shallowest vertex, whose
-    parent edge is the next uncovered edge above the set.
+    parent edge is the next uncovered edge above the set.  While the ends of
+    edge (x, y) lie in different sets, the deeper of the two tops is below
+    lca(x, y), so its parent edge is on the path: it is assigned and its set
+    joins the parent's.
     """
     table: list[int | None] = [None] * (g.m + 1)
-    rank = capacity_ranks(g)
+    rank = idx.rank
     mask = np.array(tree.is_tree_edge, dtype=bool)
     mask[0] = True  # slot 0 is not an edge
     non_tree = np.flatnonzero(~mask)
@@ -88,39 +92,25 @@ def compute_lower_replacements(g: CapacitatedGraph, tree: SpanningTree,
     top = list(range(g.n + 1))
     parent = idx.parent
     parent_edge = idx.parent_edge
-    find = sets.find
+    depth = idx.depth
+    find, join = sets.find, sets.join
+    edge_u, edge_v = g.edge_u, g.edge_v
 
-    for e, x, y, z in _with_lcas(g, idx, non_tree):
-        for half in (x, y):
-            if half == z:
-                continue
-            rh = find(half)
-            rz = find(z)
-            while rh != rz:
-                v = top[rh]
-                te = parent_edge[v]
-                assert table[te] is None, "tree edge contracted twice"
-                table[te] = e
-                rp = find(parent[v])
-                new_top = top[rp]
-                sets.join(rh, rp)
-                rh = find(rp)
-                top[rh] = new_top
-                rz = find(z)
+    for e in non_tree.tolist():
+        rx, ry = find(edge_u[e]), find(edge_v[e])
+        while rx != ry:
+            if depth(top[rx]) < depth(top[ry]):
+                rx, ry = ry, rx
+            v = top[rx]
+            te = parent_edge[v]
+            assert table[te] is None, "tree edge contracted twice"
+            table[te] = e
+            rp = find(parent[v])
+            new_top = top[rp]
+            rx = join(rx, rp)
+            top[rx] = new_top
+            ry = find(ry)  # ry may have been the parent's set, just joined
     return tuple(table)
-
-
-def _with_lcas(g: CapacitatedGraph, idx: RootedTreeIndex,
-               edges: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
-    """(e, x, y, lca(x, y)) for each edge e = (x, y) in the given order, from
-    batched LCA queries in chunks that bound the batch's temporaries."""
-    us = np.array(g.edge_u, dtype=np.int64)
-    vs = np.array(g.edge_v, dtype=np.int64)
-    for lo in range(0, len(edges), _CHUNK):
-        chunk = edges[lo:lo + _CHUNK]
-        xs, ys = us[chunk], vs[chunk]
-        yield from zip(chunk.tolist(), xs.tolist(), ys.tolist(),
-                       idx.lca_batch(xs, ys).tolist())
 
 
 def build_replacement_tables(g: CapacitatedGraph, tree: SpanningTree,

@@ -1,20 +1,23 @@
-"""Rooted-tree index: depths, O(1) LCA, logarithmic path-minimum queries.
+"""Rooted-tree index: depths, path membership, O(1) path minima.
 
-The index roots a spanning tree, records parent links and depths by BFS, and
-builds two static tables:
+Path minima come from the Kruskal pass.  ``build_max_spanning_tree`` lists
+the vertices in the order their components merged (``tree.chain``) and puts
+each tree edge at the junction where its union joined two runs
+(``tree.junction``).  The minimum-capacity edge on the tree path s..t is the
+minimum-rank junction between s and t in that chain: the Kruskal
+reconstruction tree read as a Cartesian tree (Demaine, Landau & Weimann, "On
+Cartesian Trees and Range Minimum Queries", ICALP 2009).  One sparse table
+over the junctions, where row j holds the minimum-rank edge of every window
+of 2^j junctions, answers it with two lookups.  No LCA is needed.
 
-* an Euler-tour sparse table answering LCA in O(1);
-* binary-lifting tables where level j stores, for each vertex, its 2^j-th
-  ancestor and the smallest-capacity edge id on that upward run, answering
-  "minimum-capacity edge on the tree path s..t" in O(log n).
+One iterative DFS from the root records parent links, depths and each
+vertex's preorder interval [tin, tout), and orients every tree edge
+child->parent, so testing whether an edge lies on the tree path between s and
+t costs two ancestor checks.  Everything is immutable after construction and
+safe for concurrent reads.
 
-Tree edges are oriented child->parent once at build time, so testing whether
-an edge lies on the tree path between s and t costs two ancestor checks.
-Everything is immutable after construction and safe for concurrent reads.
-
-Batch variants of the queries take numpy arrays and are used by the
-preprocessing stages and the vectorized all-pairs query path; they compute
-exactly what the scalar forms do.
+``path_min_edge_batch`` takes numpy arrays and is the one implementation;
+the scalar ``path_min_edge`` calls it.
 """
 from __future__ import annotations
 
@@ -25,28 +28,23 @@ from .mst import SpanningTree
 
 
 class RootedTreeIndex:
-    __slots__ = ("root", "n", "parent", "parent_edge", "tree_edge_child",
-                 "_rank", "_rank_list", "_depth_list", "_depth_arr", "_euler", "_first", "_edepth",
-                 "_log", "_st", "_tin", "_tout", "_up", "_liftmin", "_levels",
-                 "_up_lists", "_liftmin_lists", "_first_list", "_log_list",
-                 "_euler_list", "_edepth_list")
+    __slots__ = ("root", "n", "rank", "parent", "parent_edge", "tree_edge_child",
+                 "_depth", "_tin", "_tout", "_pos", "_table")
 
     def __init__(self, g: CapacitatedGraph, tree: SpanningTree, root: int,
                  rank: np.ndarray | None = None):
         if rank is None:
             rank = capacity_ranks(g)
-        self._rank = rank
+        self.rank = rank
         self.root = root
         self.n = g.n
-        children = self._build_parents(g, tree, root)
-        self._build_euler_tables(children)
-        self._build_lift_tables()
+        self._root_tree(g, tree, root)
+        self._build_range_minima(tree)
 
     # -- construction -----------------------------------------------------
 
-    def _build_parents(self, g: CapacitatedGraph, tree: SpanningTree, root: int) -> list[list[int]]:
+    def _root_tree(self, g: CapacitatedGraph, tree: SpanningTree, root: int) -> None:
         n = g.n
-        children: list[list[int]] = [[] for _ in range(n + 1)]
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         for e in sorted(tree.edge_ids):
             u, v = g.edge_u[e], g.edge_v[e]
@@ -55,162 +53,78 @@ class RootedTreeIndex:
         parent = [0] * (n + 1)
         parent_edge = [0] * (n + 1)
         depth = [0] * (n + 1)
-        seen = bytearray(n + 1)
-        seen[root] = 1
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w, e in adj[v]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        parent[w] = v
-                        parent_edge[w] = e
-                        depth[w] = depth[v] + 1
-                        children[v].append(w)
-                        nxt.append(w)
-            frontier = nxt
+        preorder = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            p, d = parent[v], depth[v] + 1
+            for w, e in adj[v]:
+                if w != p:
+                    parent[w] = v
+                    parent_edge[w] = e
+                    depth[w] = d
+                    stack.append(w)
+        # a stack DFS pops every subtree as one contiguous run of preorder
+        size = [1] * (n + 1)
+        for v in reversed(preorder[1:]):
+            size[parent[v]] += size[v]
+        tin = np.zeros(n + 1, dtype=np.int64)
+        tin[preorder] = np.arange(n, dtype=np.int64)
+        self._tin = tin
+        self._tout = tin + np.array(size, dtype=np.int64)
         self.parent = parent
         self.parent_edge = parent_edge
-        self._depth_list = depth
-        self._depth_arr = np.array(depth, dtype=np.int64)
+        self._depth = depth
         child_of = np.zeros(len(tree.is_tree_edge), dtype=np.int64)
-        for v in range(1, n + 1):
-            if v != root:
-                child_of[parent_edge[v]] = v
+        children = np.array(preorder[1:], dtype=np.int64)
+        child_of[np.array(parent_edge, dtype=np.int64)[children]] = children
         self.tree_edge_child = child_of
-        return children
 
-    def _build_euler_tables(self, children: list[list[int]]) -> None:
+    def _build_range_minima(self, tree: SpanningTree) -> None:
         n = self.n
-        length = 2 * n - 1
-        euler = np.zeros(length, dtype=np.int64)
-        first = np.zeros(n + 1, dtype=np.int64)
-        tin = np.zeros(n + 1, dtype=np.int64)
-        tout = np.zeros(n + 1, dtype=np.int64)
-        idx = 0
-        timer = 0
-        root = self.root
-        euler[0] = root
-        first[root] = 0
-        tin[root] = timer
-        timer += 1
-        idx = 1
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, ci = stack[-1]
-            kids = children[v]
-            if ci < len(kids):
-                stack[-1] = (v, ci + 1)
-                w = kids[ci]
-                euler[idx] = w
-                first[w] = idx
-                tin[w] = timer
-                timer += 1
-                idx += 1
-                stack.append((w, 0))
-            else:
-                stack.pop()
-                tout[v] = timer
-                timer += 1
-                if stack:
-                    euler[idx] = stack[-1][0]
-                    idx += 1
-        assert idx == length
-        edepth = self._depth_arr[euler]
-        log = np.zeros(length + 1, dtype=np.int64)
-        for i in range(2, length + 1):
-            log[i] = log[i >> 1] + 1
-        st = [np.arange(length, dtype=np.int64)]
-        j = 1
-        while (1 << j) <= length:
-            span = 1 << j
-            half = span >> 1
-            prev = st[-1]
-            a = prev[: length - span + 1]
-            b = prev[half: half + length - span + 1]
-            st.append(np.where(edepth[a] <= edepth[b], a, b))
-            j += 1
-        self._euler = euler
-        self._first = first
-        self._edepth = edepth
-        self._log = log
-        self._st = st
-        self._tin = tin
-        self._tout = tout
-        self._first_list = first.tolist()
-        self._log_list = log.tolist()
-        self._euler_list = euler.tolist()
-        self._edepth_list = edepth.tolist()
-
-    def _build_lift_tables(self) -> None:
-        n = self.n
-        max_depth = int(self._depth_arr.max())
-        levels = max(1, max_depth.bit_length())
-        up = np.zeros((levels, n + 1), dtype=np.int64)
-        liftmin = np.zeros((levels, n + 1), dtype=np.int64)
-        up[0] = np.array(self.parent, dtype=np.int64)
-        up[0, self.root] = self.root
-        liftmin[0] = np.array(self.parent_edge, dtype=np.int64)
-        rank = self._rank
+        pos = np.zeros(n + 1, dtype=np.int64)
+        pos[tree.chain] = np.arange(n, dtype=np.int64)
+        self._pos = pos
+        rank = self.rank
+        # a trailing edge-0 sentinel (highest rank) keeps every lookup of an
+        # empty range in bounds
+        levels = max(1, (n - 1).bit_length())
+        table = np.tile(np.append(tree.junction, 0), (levels, 1))
         for j in range(1, levels):
-            mid = up[j - 1]
-            up[j] = up[j - 1][mid]
-            a = liftmin[j - 1]
-            b = liftmin[j - 1][mid]
-            liftmin[j] = np.where(rank[a] <= rank[b], a, b)
-        self._up = up
-        self._liftmin = liftmin
-        self._levels = levels
-        # plain-list mirrors keep the scalar path-minimum walk off numpy
-        # scalar indexing, which costs ~5x per access
-        self._up_lists = [row.tolist() for row in up]
-        self._liftmin_lists = [row.tolist() for row in liftmin]
-        self._rank_list = self._rank.tolist()
+            half = 1 << (j - 1)
+            a = table[j - 1, :-half]
+            b = table[j - 1, half:]
+            table[j, :-half] = np.where(rank[a] <= rank[b], a, b)
+        self._table = table
 
-    # -- scalar queries ----------------------------------------------------
-
-    def lca(self, x: int, y: int) -> int:
-        """Lowest common ancestor; O(1) via the Euler-tour sparse table."""
-        first = self._first_list
-        fx = first[x]
-        fy = first[y]
-        if fx > fy:
-            fx, fy = fy, fx
-        j = self._log_list[fy - fx + 1]
-        st_j = self._st[j]
-        a = int(st_j[fx])
-        b = int(st_j[fy - (1 << j) + 1])
-        edepth = self._edepth_list
-        pos = a if edepth[a] <= edepth[b] else b
-        return self._euler_list[pos]
+    # -- queries -------------------------------------------------------------
 
     def is_ancestor(self, a: int, x: int) -> bool:
         """True iff a is an ancestor of x (every vertex is its own ancestor)."""
         return bool(self._tin[a] <= self._tin[x] and self._tin[x] < self._tout[a])
 
     def path_min_edge(self, s: int, t: int) -> int:
-        """EdgeId with minimum capacity on the tree path s..t; O(log n)."""
+        """EdgeId with minimum capacity on the tree path s..t; O(1)."""
         if s == t:
             raise ValueError("path_min_edge requires two distinct endpoints")
-        z = self.lca(s, t)
-        best = self._lift_min_scalar(s, z, 0)
-        best = self._lift_min_scalar(t, z, best)
-        return best
+        return int(self.path_min_edge_batch(np.array([s]), np.array([t]))[0])
 
-    def _lift_min_scalar(self, v: int, z: int, best: int) -> int:
-        rank = self._rank_list
-        d = self._depth_list[v] - self._depth_list[z]
-        j = 0
-        while d:
-            if d & 1:
-                e = self._liftmin_lists[j][v]
-                if rank[e] <= rank[best]:
-                    best = e
-                v = self._up_lists[j][v]
-            d >>= 1
-            j += 1
-        return best
+    def path_min_edge_batch(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Vectorized path_min_edge; entries with ss == ts yield sentinel 0.
+
+        The path's junctions are chain positions lo..hi-1; two windows of
+        2^j junctions, with 2^j the largest power of two not above hi-lo,
+        cover them.
+        """
+        ps, pt = self._pos[ss], self._pos[ts]
+        lo, hi = np.minimum(ps, pt), np.maximum(ps, pt)
+        span = hi - lo
+        j = np.maximum(np.frexp(span)[1] - 1, 0)  # floor(log2(span)), exact below 2^53
+        a = self._table[j, lo]
+        b = self._table[j, hi - (1 << j)]
+        best = np.where(self.rank[a] <= self.rank[b], a, b)
+        return np.where(span > 0, best, 0)
 
     def edge_on_path(self, e: int, s: int, t: int) -> bool:
         """True iff tree edge e lies on the tree path s..t; O(1).
@@ -227,49 +141,7 @@ class RootedTreeIndex:
 
     def depth(self, x: int) -> int:
         """Distance from the root; O(1)."""
-        return self._depth_list[x]
-
-    # -- batch queries (numpy) ----------------------------------------------
-
-    def lca_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        fx = self._first[xs]
-        fy = self._first[ys]
-        lo = np.minimum(fx, fy)
-        hi = np.maximum(fx, fy)
-        j = self._log[hi - lo + 1]
-        a = np.empty(len(lo), dtype=np.int64)
-        b = np.empty(len(lo), dtype=np.int64)
-        for jv in np.unique(j):
-            mask = j == jv
-            table = self._st[jv]
-            a[mask] = table[lo[mask]]
-            b[mask] = table[hi[mask] - (1 << int(jv)) + 1]
-        pos = np.where(self._edepth[a] <= self._edepth[b], a, b)
-        return self._euler[pos]
-
-    def path_min_edge_batch(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Vectorized path_min_edge; entries with ss == ts yield sentinel 0."""
-        z = self.lca_batch(ss, ts)
-        e1 = self._lift_min_batch(ss, z)
-        e2 = self._lift_min_batch(ts, z)
-        rank = self._rank
-        return np.where(rank[e1] <= rank[e2], e1, e2)
-
-    def _lift_min_batch(self, vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        rank = self._rank
-        v = vs.astype(np.int64, copy=True)
-        best = np.zeros(len(v), dtype=np.int64)
-        d = self._depth_arr[v] - self._depth_arr[zs]
-        for j in range(self._levels):
-            mask = (d >> j) & 1 == 1
-            if not mask.any():
-                continue
-            vm = v[mask]
-            cand = self._liftmin[j][vm]
-            cur = best[mask]
-            best[mask] = np.where(rank[cand] <= rank[cur], cand, cur)
-            v[mask] = self._up[j][vm]
-        return best
+        return self._depth[x]
 
     def ancestor_mask(self, a: int, xs_tin: np.ndarray) -> np.ndarray:
         """Vectorized is_ancestor(a, x) over precomputed tin[x] values."""
@@ -281,5 +153,5 @@ class RootedTreeIndex:
 
 def build_index(tree: SpanningTree, g: CapacitatedGraph, root: int = 1,
                 rank: np.ndarray | None = None) -> RootedTreeIndex:
-    """Root the spanning tree and build all query tables; O(n log n)."""
+    """Root the spanning tree and build its tables; O(n log n)."""
     return RootedTreeIndex(g, tree, root, rank)

@@ -29,8 +29,8 @@ def test_find_absent_rejected():
 
 def test_join_canonical_only():
     s = DisjointSets([1, 2, 3])
-    s.join(s.find(1), s.find(2))
-    assert s.find(1) == s.find(2)
+    merged = s.join(s.find(1), s.find(2))
+    assert s.find(1) == s.find(2) == merged
     assert s.count == 2
     with pytest.raises(ValueError):
         s.join(s.find(1), s.find(1))          # same subset

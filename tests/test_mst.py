@@ -6,8 +6,9 @@ from bptol import (CapacitatedGraph, brute_max_spanning_tree,
                    build_max_spanning_tree, diamond_example,
                    random_connected_graph, single_edge_example,
                    triangle_example)
+from bptol.graphs import capacity_ranks
 
-from naive import spanning_tree_edge_sets, tree_capacity_sum
+from naive import naive_path_min_edge, spanning_tree_edge_sets, tree_capacity_sum
 
 
 def test_fixture_trees():
@@ -55,3 +56,24 @@ def test_independent_of_edge_input_order():
         g2 = CapacitatedGraph(g.n, shuffled)
         tree_rows2 = {shuffled[e - 1] for e in build_max_spanning_tree(g2).edge_ids}
         assert tree_rows == tree_rows2  # unique tree, as capacities are distinct
+
+
+@pytest.mark.parametrize("coarsen", [1, 8])
+def test_chain_junctions_are_path_minima(coarsen):
+    # Each junction is the minimum-capacity edge on the tree path between
+    # the two chain neighbours it separates; coarsened capacities tie, and
+    # ties go to the smaller edge id, as capacity_ranks orders them.
+    rng = random.Random(91 + coarsen)
+    ties = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, 40)
+        g = CapacitatedGraph(g.n, [(g.edge_u[e], g.edge_v[e], g.edge_cap[e] // coarsen)
+                                   for e in g.edge_ids()])
+        ties += g.m - len(set(g.edge_cap[1:]))
+        tree = build_max_spanning_tree(g, capacity_ranks(g))
+        chain, junction = tree.chain.tolist(), tree.junction.tolist()
+        assert sorted(chain) == list(range(1, g.n + 1))
+        assert sorted(junction) == sorted(tree.edge_ids)
+        for a, b, e in zip(chain, chain[1:], junction):
+            assert e == naive_path_min_edge(g, tree.edge_ids, a, b)
+    assert (ties > 0) == (coarsen > 1)

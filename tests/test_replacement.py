@@ -20,10 +20,12 @@ from bptol.replacement import (
 from bptol.tree_index import build_index
 
 from naive import (
+    naive_lca,
     naive_lower_replacements,
     naive_upper_replacements,
     spanning_tree_edge_sets,
     tree_capacity_sum,
+    tree_parents,
 )
 
 
@@ -163,29 +165,30 @@ def test_lower_entries_point_at_covering_edges():
 
 
 def test_tables_span_several_batches():
-    # ~18k non-tree edges cross the batch boundaries of both tables, and on
-    # this sparse graph thousands of L entries come from the later batches.
-    # U must equal the scalar path-minimum query; L must equal a plain walk
-    # of each fundamental path in decreasing capacity order from the scalar
-    # LCA.
+    # ~18k non-tree edges cross the batch boundaries of the U table, and on
+    # this sparse graph thousands of L entries come from the later edges of
+    # the scan.  Both tables must equal a plain walk of each fundamental
+    # path up to its naive LCA: U its minimum-rank edge, L the first cover
+    # in decreasing capacity order.
     g = random_benchmark_graph(17_000, 35_000, seed=5)
     rank = capacity_ranks(g)
     tree = build_max_spanning_tree(g, rank=rank)
     idx = build_index(tree, g, rank=rank)
-    table = compute_upper_replacements(g, tree, idx)
-    assert sum(e is not None for e in table) == g.m - (g.n - 1)
-    for e in g.edge_ids():
-        expected = None if e in tree else idx.path_min_edge(*g.endpoints(e))
-        assert table[e] == expected
-    expected = [None] * (g.m + 1)
+    parent, parent_edge, depth = tree_parents(g, tree.edge_ids, 1)
+    upper = [None] * (g.m + 1)
+    lower = [None] * (g.m + 1)
     non_tree = [e for e in g.edge_ids() if e not in tree]
     for f in sorted(non_tree, key=lambda e: rank[e], reverse=True):
         x, y = g.endpoints(f)
-        z = idx.lca(x, y)
+        z = naive_lca(parent, depth, x, y)
+        path = []
         for v in (x, y):
             while v != z:
-                te = idx.parent_edge[v]
-                if expected[te] is None:
-                    expected[te] = f
-                v = idx.parent[v]
-    assert list(compute_lower_replacements(g, tree, idx)) == expected
+                path.append(parent_edge[v])
+                v = parent[v]
+        upper[f] = min(path, key=lambda e: rank[e])
+        for te in path:
+            if lower[te] is None:
+                lower[te] = f
+    assert list(compute_upper_replacements(g, tree, idx)) == upper
+    assert list(compute_lower_replacements(g, tree, idx)) == lower

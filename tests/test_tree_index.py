@@ -1,4 +1,4 @@
-"""Rooted-tree index: depths, LCA, path minima, path membership."""
+"""Rooted-tree index: depths, path minima, path membership."""
 
 import random
 
@@ -14,9 +14,15 @@ from bptol.graphs import (
 )
 from bptol.mst import build_max_spanning_tree
 from bptol.randgraph import random_connected_graph
+from bptol.replacement import compute_lower_replacements
 from bptol.tree_index import build_index
 
-from naive import naive_lca, naive_path_min_edge, tree_parents, tree_path_edges
+from naive import (
+    naive_lower_replacements,
+    naive_path_min_edge,
+    tree_parents,
+    tree_path_edges,
+)
 
 
 def _indexed(g, root=1):
@@ -50,18 +56,6 @@ def test_root_depth_is_zero():
     for g in (triangle_example(), diamond_example(), single_edge_example()):
         _, idx = _indexed(g)
         assert idx.depth(1) == 0
-
-
-def test_lca_examples():
-    g = diamond_example()
-    _, idx = _indexed(g)
-    assert idx.lca(3, 4) == 3
-    for x in range(1, 5):
-        assert idx.lca(x, x) == x
-
-    g1 = triangle_example()
-    _, idx1 = _indexed(g1, root=2)
-    assert idx1.lca(1, 3) == 2
 
 
 def test_path_min_edge_examples():
@@ -129,17 +123,13 @@ def test_matches_naive_answers_on_random_trees():
         tree = build_max_spanning_tree(g)
         root = rng.randint(1, g.n)
         idx = build_index(tree, g, root=root)
-        parent, parent_edge, depth = tree_parents(g, tree.edge_ids, root)
+        _, _, depth = tree_parents(g, tree.edge_ids, root)
         verts = range(1, g.n + 1)
         for x in verts:
             assert idx.depth(x) == depth[x]
         for _ in range(30):
             s = rng.randint(1, g.n)
             t = rng.randint(1, g.n)
-            z = naive_lca(parent, depth, s, t)
-            assert idx.lca(s, t) == z
-            assert idx.lca(t, s) == z
-            assert idx.depth(z) <= min(depth[s], depth[t])
             if s == t:
                 continue
             expected = naive_path_min_edge(g, tree.edge_ids, s, t)
@@ -157,26 +147,12 @@ def test_matches_naive_answers_on_random_graphs():
         g = random_connected_graph(rng, 24)
         tree = build_max_spanning_tree(g)
         idx = build_index(tree, g)
-        parent, parent_edge, depth = tree_parents(g, tree.edge_ids, 1)
         for _ in range(20):
             s, t = rng.randint(1, g.n), rng.randint(1, g.n)
-            assert idx.lca(s, t) == naive_lca(parent, depth, s, t)
             if s != t:
                 assert idx.path_min_edge(s, t) == naive_path_min_edge(
                     g, tree.edge_ids, s, t
                 )
-
-
-def test_batch_lca_matches_scalar():
-    rng = random.Random(77)
-    g = random_connected_graph(rng, 40)
-    tree = build_max_spanning_tree(g)
-    idx = build_index(tree, g)
-    ss = np.array([rng.randint(1, g.n) for _ in range(500)], dtype=np.int64)
-    ts = np.array([rng.randint(1, g.n) for _ in range(500)], dtype=np.int64)
-    got = idx.lca_batch(ss, ts)
-    expected = [idx.lca(int(a), int(b)) for a, b in zip(ss, ts)]
-    assert got.tolist() == expected
 
 
 def test_batch_path_min_matches_scalar():
@@ -194,6 +170,7 @@ def test_batch_path_min_matches_scalar():
             assert got[j] == 0  # sentinel for an empty path
         else:
             assert got[j] == idx.path_min_edge(s, t)
+            assert got[j] == naive_path_min_edge(g, tree.edge_ids, s, t)
 
 
 def test_ancestor_mask_matches_edge_on_path():
@@ -214,3 +191,51 @@ def test_ancestor_mask_matches_edge_on_path():
                 != idx.ancestor_mask(child, np.array([t_tin]))[0]
             )
             assert on == idx.edge_on_path(e, s, t)
+
+
+def _shaped_graph(rng, n, shape, chords):
+    """A path-shaped (vertex 1 at one end) or star-shaped maximum spanning
+    tree holding the n-1 largest capacities, plus random chords below it."""
+    others = list(range(2, n + 1))
+    rng.shuffle(others)
+    if shape == "path":
+        order = [1] + others
+        tree_pairs = list(zip(order, order[1:]))
+    else:  # star around a centre other than the root, so the root is a leaf
+        centre = others.pop()
+        tree_pairs = [(centre, v) for v in others + [1]]
+    taken = {frozenset(p) for p in tree_pairs}
+    chord_pairs = []
+    while len(chord_pairs) < chords:
+        u, v = rng.sample(range(1, n + 1), 2)
+        if frozenset((u, v)) not in taken:
+            taken.add(frozenset((u, v)))
+            chord_pairs.append((u, v))
+    caps = rng.sample(range(-10 * n, 10 * n), n - 1 + chords)
+    caps.sort(reverse=True)
+    rows = [(u, v, c) if rng.random() < 0.5 else (v, u, c)
+            for (u, v), c in zip(tree_pairs + chord_pairs, caps)]
+    rng.shuffle(rows)
+    return CapacitatedGraph(n, rows)
+
+
+@pytest.mark.parametrize("shape, height", [("path", 1999), ("star", 2)])
+def test_path_minima_and_lower_table_on_extreme_shapes(shape, height):
+    # Height n-1 makes every tree-path walk long and, in the L scan, makes
+    # the deeper set-top climb into the other end's set, whose canonical
+    # element must then be looked up again.
+    rng = random.Random(31 if shape == "path" else 32)
+    n = 2000
+    g = _shaped_graph(rng, n, shape, chords=600)
+    rank = capacity_ranks(g)
+    tree = build_max_spanning_tree(g, rank=rank)
+    idx = build_index(tree, g, rank=rank)
+    assert max(idx.depth(v) for v in range(1, n + 1)) == height
+    pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(150)]
+    pairs += [(v, v) for v in rng.sample(range(1, n + 1), 10)]
+    got = idx.path_min_edge_batch(np.array([p[0] for p in pairs]),
+                                  np.array([p[1] for p in pairs]))
+    for (s, t), e in zip(pairs, got.tolist()):
+        expected = 0 if s == t else naive_path_min_edge(g, tree.edge_ids, s, t)
+        assert e == expected
+    assert compute_lower_replacements(g, tree, idx) == naive_lower_replacements(g, tree)
