@@ -25,19 +25,18 @@ from .graphs import CapacitatedGraph, capacity_ranks
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """n-1 tree edge ids plus a per-edge membership flag (index 0 unused).
-
-    ``chain`` holds the n vertices in merge order and ``junction[i]`` the tree
-    edge between chain[i] and chain[i+1]; both are int64 arrays, read only,
-    and take no part in comparison.
+    """n-1 tree edge ids plus read-only arrays that take no part in comparison:
+    ``is_tree_edge``, a bool column of length m+1 (slot 0 False); ``chain``,
+    the n vertices in merge order; and ``junction[i]``, the tree edge between
+    chain[i] and chain[i+1].
     """
     edge_ids: frozenset[int]
-    is_tree_edge: tuple[bool, ...]
+    is_tree_edge: np.ndarray = field(compare=False, repr=False)
     chain: np.ndarray = field(compare=False, repr=False)
     junction: np.ndarray = field(compare=False, repr=False)
 
     def __contains__(self, e: int) -> bool:
-        return self.is_tree_edge[e]
+        return bool(self.is_tree_edge[e])
 
 
 def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None) -> SpanningTree:
@@ -45,19 +44,18 @@ def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None)
     if rank is None:
         rank = capacity_ranks(g)
     order = np.argsort(rank[1:], kind="stable")[::-1] + 1
-    sets = DisjointSets(range(1, g.n + 1))
+    sets = DisjointSets(g.n + 1)
     find, join = sets.find, sets.join
-    flags = [False] * (g.m + 1)
     chosen = []
     needed = g.n - 1
-    edge_u, edge_v = g.edge_u, g.edge_v
+    edge_u, edge_v = g.edge_u.tolist(), g.edge_v.tolist()
     # each component's run is first[r] .. last[r] by following succ; via[v]
     # is the tree edge at the junction between v and succ[v]
     first = list(range(g.n + 1))
     last = list(range(g.n + 1))
     succ = [0] * (g.n + 1)
     via = [0] * (g.n + 1)
-    for e in map(int, order):
+    for e in order.tolist():
         a, b = find(edge_u[e]), find(edge_v[e])
         if a == b:
             continue
@@ -65,7 +63,6 @@ def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None)
         via[last[a]] = e
         r = join(a, b)
         first[r], last[r] = first[a], last[b]
-        flags[e] = True
         chosen.append(e)
         if len(chosen) == needed:
             break
@@ -74,7 +71,10 @@ def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None)
     chain = [first[find(1)]]
     for _ in range(needed):
         chain.append(succ[chain[-1]])
+    is_tree_edge = np.zeros(g.m + 1, dtype=bool)
+    is_tree_edge[chosen] = True
     junction = np.array([via[v] for v in chain[:-1]], dtype=np.int64)
     chain_arr = np.array(chain, dtype=np.int64)
-    chain_arr.flags.writeable = junction.flags.writeable = False
-    return SpanningTree(frozenset(chosen), tuple(flags), chain_arr, junction)
+    for column in (is_tree_edge, chain_arr, junction):
+        column.flags.writeable = False
+    return SpanningTree(frozenset(chosen), is_tree_edge, chain_arr, junction)

@@ -83,8 +83,8 @@ class PairContext:
 
 class ToleranceOracle:
     __slots__ = ("graph", "tree", "index", "tables", "contexts",
-                 "_s_tin", "_t_tin", "_estar", "_estar_cap", "_cap",
-                 "_cap_u", "_estar_cap_u", "_u_arr", "_l_arr", "_is_tree",
+                 "_s_tin", "_t_tin", "_estar", "_estar_cap", "_cap_u",
+                 "_estar_cap_u", "_u_arr", "_l_arr",
                  "_zero", "_none")
 
     def __init__(self, graph: CapacitatedGraph, tree: SpanningTree,
@@ -105,14 +105,13 @@ class ToleranceOracle:
         self._t_tin = idx.tin_of(t_arr)
         self._estar = np.array([c.bottleneck_edge for c in self.contexts],
                                dtype=np.int64)
-        self._cap = np.array(self.graph.edge_cap, dtype=np.int64)
-        self._estar_cap = self._cap[self._estar]
+        cap = self.graph.edge_cap
+        self._estar_cap = cap[self._estar]
         # uint64 views of the same buffers, for wrap-around subtraction
-        self._cap_u = self._cap.view(np.uint64)
+        self._cap_u = cap.view(np.uint64)
         self._estar_cap_u = self._estar_cap.view(np.uint64)
         self._u_arr = np.array([e or 0 for e in self.tables.U], dtype=np.int64)
         self._l_arr = np.array([e or 0 for e in self.tables.L], dtype=np.int64)
-        self._is_tree = np.array(self.tree.is_tree_edge, dtype=bool)
         k = len(self.contexts)
         self._zero = np.zeros(k, dtype=np.uint64)
         self._none = np.zeros(k, dtype=bool)
@@ -127,14 +126,14 @@ class ToleranceOracle:
         set and is meaningless elsewhere."""
         self._check_edge(e)
         cap_e = self._cap_u[e]
-        if self._is_tree[e]:
+        if self.tree.is_tree_edge[e]:
             rep = self._l_arr[e]
             if rep == 0:
                 return True, self._zero, self._none
             idx = self.index
             y = idx.tree_edge_child[e]
             on = idx.ancestor_mask(y, self._s_tin) != idx.ancestor_mask(y, self._t_tin)
-            floor = np.minimum(self._estar_cap, self._cap[rep])
+            floor = np.minimum(self._estar_cap, self.graph.edge_cap[rep])
             return True, cap_e - floor.view(np.uint64), on
         return False, self._estar_cap_u - cap_e, self._estar == self._u_arr[e]
 
@@ -202,8 +201,8 @@ def preprocess(g: CapacitatedGraph, pairs: list[QueryPair]) -> ToleranceOracle:
     tables = build_replacement_tables(g, tree, idx)
     ss = np.array([p.s for p in pairs], dtype=np.int64)
     ts = np.array([p.t for p in pairs], dtype=np.int64)
-    estars = idx.path_min_edge_batch(ss, ts).tolist()
-    contexts = [PairContext(pair=p, bottleneck_edge=e_star,
-                            bottleneck_value=g.edge_cap[e_star])
-                for p, e_star in zip(pairs, estars)]
+    estars = idx.path_min_edge_batch(ss, ts)
+    contexts = [PairContext(pair=p, bottleneck_edge=e_star, bottleneck_value=value)
+                for p, e_star, value in zip(pairs, estars.tolist(),
+                                            g.edge_cap[estars].tolist())]
     return ToleranceOracle(g, tree, idx, tables, contexts)

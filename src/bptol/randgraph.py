@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import CapacitatedGraph, QueryPair
+from .graphs import CapacitatedGraph, QueryPair, first_unreached
 
 
 def random_connected_graph(rng: random.Random, max_n: int) -> CapacitatedGraph:
@@ -66,28 +66,14 @@ def sample_pairs(rng: random.Random, n: int, count: int) -> list[QueryPair]:
 def all_connected_graphs(n: int, rng: random.Random):
     """Yield every connected labeled graph on n vertices, with random
     distinct capacities.  Exponential in n; intended for n <= 5."""
-    possible = list(combinations(range(1, n + 1), 2))
+    possible = np.array(list(combinations(range(1, n + 1), 2)),
+                        dtype=np.int64).reshape(-1, 2)
     for bits in range(1 << len(possible)):
-        subset = [possible[i] for i in range(len(possible)) if bits >> i & 1]
-        if len(subset) < n - 1 or not _subset_connected(n, subset):
+        subset = possible[[i for i in range(len(possible)) if bits >> i & 1]]
+        if len(subset) < n - 1 or first_unreached(n, subset[:, 0], subset[:, 1]) is not None:
             continue
         caps = rng.sample(range(-3 * len(subset), 3 * len(subset) + 1), len(subset))
-        yield CapacitatedGraph(n, [(u, v, c) for (u, v), c in zip(subset, caps)])
-
-
-def _subset_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {}
-    for u, v in pairs:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+        yield CapacitatedGraph(n, np.column_stack((subset, caps)))
 
 
 def random_benchmark_graph(n: int, m: int, seed: int) -> CapacitatedGraph:
@@ -124,8 +110,7 @@ def random_benchmark_graph(n: int, m: int, seed: int) -> CapacitatedGraph:
     order = gen.permutation(m)
     u_all, v_all = u_all[order], v_all[order]
     caps = gen.permutation(m) + 1
-    edges = list(zip(u_all.tolist(), v_all.tolist(), caps.tolist()))
-    return CapacitatedGraph(n, edges)
+    return CapacitatedGraph(n, np.column_stack((u_all, v_all, caps)))
 
 
 def random_query_edges(m: int, count: int, seed: int) -> np.ndarray:

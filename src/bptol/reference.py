@@ -59,8 +59,21 @@ def _check_enumerable(g: CapacitatedGraph, s: int, t: int, max_n: int) -> None:
         raise ValueError("source and target must differ")
 
 
+def _adjacency(g: CapacitatedGraph, edge_ids) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge id) lists per vertex over the given edges, in their
+    order; the reference builds its own, sharing nothing with the pipeline."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for e in edge_ids:
+        u, v = g.endpoints(e)
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return adj
+
+
 def _walk_paths(g: CapacitatedGraph, s: int, t: int):
     """Yield (vertices, edge_ids, bottleneck) for every simple s-t path."""
+    cap = g.edge_cap.tolist()
+    incident = _adjacency(g, g.edge_ids())
     visited = bytearray(g.n + 1)
     visited[s] = 1
     verts = [s]
@@ -70,13 +83,13 @@ def _walk_paths(g: CapacitatedGraph, s: int, t: int):
         if v == t:
             yield tuple(verts), tuple(edges), cur_min
             return
-        for w, e in g.incident(v):
+        for w, e in incident[v]:
             if visited[w]:
                 continue
             visited[w] = 1
             verts.append(w)
             edges.append(e)
-            yield from recurse(w, min(cur_min, g.edge_cap[e]))
+            yield from recurse(w, min(cur_min, cap[e]))
             edges.pop()
             verts.pop()
             visited[w] = 0
@@ -106,7 +119,7 @@ def brute_max_spanning_tree(g: CapacitatedGraph) -> set[int]:
     Kruskal/union-find route used in production.
     """
     alive = set(g.edge_ids())
-    for e in sorted(alive, key=lambda e: (g.edge_cap[e], e)):
+    for e in sorted(alive, key=lambda e: (g.capacity(e), e)):
         alive.discard(e)
         if not _connected_using(g, alive):
             alive.add(e)
@@ -116,15 +129,11 @@ def brute_max_spanning_tree(g: CapacitatedGraph) -> set[int]:
 def _connected_using(g: CapacitatedGraph, edge_ids: set[int]) -> bool:
     if g.n == 1:
         return True
-    adj: dict[int, list[int]] = {}
-    for e in edge_ids:
-        u, v = g.edge_u[e], g.edge_v[e]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = _adjacency(g, edge_ids)
     seen = {1}
     stack = [1]
     while stack:
-        for w in adj.get(stack.pop(), ()):
+        for w, _ in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -134,16 +143,12 @@ def _connected_using(g: CapacitatedGraph, edge_ids: set[int]) -> bool:
 def _tree_path(g: CapacitatedGraph, tree_edges: set[int], s: int, t: int
                ) -> tuple[int, ...]:
     """Vertex sequence of the unique s-t path inside the given tree edges."""
-    adj: dict[int, list[int]] = {}
-    for e in tree_edges:
-        u, v = g.edge_u[e], g.edge_v[e]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = _adjacency(g, tree_edges)
     prev = {s: 0}
     stack = [s]
     while stack and t not in prev:
         v = stack.pop()
-        for w in adj.get(v, ()):
+        for w, _ in adj[v]:
             if w not in prev:
                 prev[w] = v
                 stack.append(w)
@@ -175,7 +180,7 @@ def brute_bottleneck(g: CapacitatedGraph, s: int, t: int,
     ps = enumerate_simple_paths(g, s, t, max_n)
     value = max(ps.bottlenecks)
     witness = _tree_path(g, brute_max_spanning_tree(g), s, t)
-    w_min = min(g.edge_cap[e] for e in _path_edges(g, witness))
+    w_min = min(g.capacity(e) for e in _path_edges(g, witness))
     assert w_min == value, "tree path is not a bottleneck optimum"
     return value, witness
 
@@ -199,11 +204,12 @@ class PairAnalysis:
         self.g = g
         self.s = s
         self.t = t
+        self._cap = cap = g.edge_cap.tolist()
         records = []  # (bottleneck, argmin edge, second min, edge set)
         through_best: dict[int, float] = {}
         through_count: dict[int, int] = {}
         for _, edges, bottleneck in _walk_paths(g, s, t):
-            caps = [g.edge_cap[e] for e in edges]
+            caps = [cap[e] for e in edges]
             m1 = min(caps)
             am = edges[caps.index(m1)]
             rest = [c for c in caps if c != m1]
@@ -225,7 +231,7 @@ class PairAnalysis:
             witness = _tree_path(g, brute_max_spanning_tree(g), s, t)
         self.witness = witness
         w_edges = _path_edges(g, witness)
-        w_caps = [g.edge_cap[e] for e in w_edges]
+        w_caps = [cap[e] for e in w_edges]
         self._w_min = min(w_caps)
         assert self._w_min == self.bottleneck, "witness is not optimal"
         self._w_argmin = w_edges[w_caps.index(self._w_min)]
@@ -248,21 +254,19 @@ class PairAnalysis:
 
     def tolerances(self, e: int) -> EdgeTolerances:
         """Statement-style formula evaluation w.r.t. the fixed witness."""
-        g = self.g
         if e in self._w_edge_set:
             avoid = self._best_avoiding(e)
             if avoid == -math.inf:
                 return EdgeTolerances(math.inf, math.inf)
-            return EdgeTolerances(g.edge_cap[e] - avoid, math.inf)
+            return EdgeTolerances(self._cap[e] - avoid, math.inf)
         best_through = self._through_best.get(e, -math.inf)
         if best_through > self.bottleneck:
-            return EdgeTolerances(math.inf, self.bottleneck - g.edge_cap[e])
+            return EdgeTolerances(math.inf, self.bottleneck - self._cap[e])
         return EdgeTolerances(math.inf, math.inf)
 
     def still_optimal(self, e: int, delta: int) -> bool:
         """Does the witness attain the optimum after c(e) += delta?"""
-        g = self.g
-        perturbed = g.edge_cap[e] + delta
+        perturbed = self._cap[e] + delta
         if e in self._w_edge_set:
             excl = self._w_min2 if e == self._w_argmin else self._w_min
             witness_value = min(excl, perturbed)

@@ -56,14 +56,10 @@ def compute_upper_replacements(g: CapacitatedGraph, tree: SpanningTree,
     tree_ids: list[int | None] = [None] * (g.m + 1)
     for e in tree.edge_ids:
         tree_ids[e] = e
-    mask = np.array(tree.is_tree_edge, dtype=bool)
-    mask[0] = True  # slot 0 is not an edge
-    non_tree = np.flatnonzero(~mask)
-    us = np.array(g.edge_u, dtype=np.int64)
-    vs = np.array(g.edge_v, dtype=np.int64)
+    non_tree = np.flatnonzero(~tree.is_tree_edge[1:]) + 1
     for lo in range(0, len(non_tree), _CHUNK):
         chunk = non_tree[lo:lo + _CHUNK]
-        reps = idx.path_min_edge_batch(us[chunk], vs[chunk])
+        reps = idx.path_min_edge_batch(g.edge_u[chunk], g.edge_v[chunk])
         for e, rep in zip(chunk.tolist(), reps.tolist()):
             table[e] = tree_ids[rep]
     return tuple(table)
@@ -83,21 +79,19 @@ def compute_lower_replacements(g: CapacitatedGraph, tree: SpanningTree,
     """
     table: list[int | None] = [None] * (g.m + 1)
     rank = idx.rank
-    mask = np.array(tree.is_tree_edge, dtype=bool)
-    mask[0] = True  # slot 0 is not an edge
-    non_tree = np.flatnonzero(~mask)
+    non_tree = np.flatnonzero(~tree.is_tree_edge[1:]) + 1
     non_tree = non_tree[np.argsort(rank[non_tree])[::-1]]
 
-    sets = DisjointSets(range(1, g.n + 1))
+    sets = DisjointSets(g.n + 1)
     top = list(range(g.n + 1))
     parent = idx.parent
     parent_edge = idx.parent_edge
     depth = idx.depth
     find, join = sets.find, sets.join
-    edge_u, edge_v = g.edge_u, g.edge_v
 
-    for e in non_tree.tolist():
-        rx, ry = find(edge_u[e]), find(edge_v[e])
+    for e, x, y in zip(non_tree.tolist(), g.edge_u[non_tree].tolist(),
+                       g.edge_v[non_tree].tolist()):
+        rx, ry = find(x), find(y)
         while rx != ry:
             if depth(top[rx]) < depth(top[ry]):
                 rx, ry = ry, rx

@@ -46,8 +46,9 @@ class RootedTreeIndex:
     def _root_tree(self, g: CapacitatedGraph, tree: SpanningTree, root: int) -> None:
         n = g.n
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for e in sorted(tree.edge_ids):
-            u, v = g.edge_u[e], g.edge_v[e]
+        tree_edges = np.flatnonzero(tree.is_tree_edge)
+        for e, u, v in zip(tree_edges.tolist(), g.edge_u[tree_edges].tolist(),
+                           g.edge_v[tree_edges].tolist()):
             adj[u].append((v, e))
             adj[v].append((u, e))
         parent = [0] * (n + 1)

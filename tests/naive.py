@@ -1,7 +1,8 @@
 """Small quadratic reference implementations used only by tests.
 
 Deliberately dumb: walk-up LCA, explicit path scans, definition-level
-replacement edges, and exhaustive spanning-tree enumeration.  Nothing here
+replacement edges, exhaustive spanning-tree enumeration, and reachability by
+breadth-first search.  Nothing here
 shares code with the structures under test.
 """
 from __future__ import annotations
@@ -112,7 +113,7 @@ def naive_tolerances(g: CapacitatedGraph, tree: SpanningTree, s: int, t: int):
     e_star = min(path, key=lambda e: (g.edge_cap[e], e))
     upper_rep = naive_upper_replacements(g, tree)
     lower_rep = naive_lower_replacements(g, tree)
-    cap = g.edge_cap
+    cap = g.edge_cap.tolist()
     out = [None]
     for e in g.edge_ids():
         if e in path:
@@ -145,7 +146,8 @@ def _is_spanning_tree(g: CapacitatedGraph, edge_ids) -> bool:
         return x
 
     for e in edge_ids:
-        ru, rv = find(g.edge_u[e]), find(g.edge_v[e])
+        u, v = g.endpoints(e)
+        ru, rv = find(u), find(v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -153,4 +155,24 @@ def _is_spanning_tree(g: CapacitatedGraph, edge_ids) -> bool:
 
 
 def tree_capacity_sum(g: CapacitatedGraph, edge_ids) -> int:
-    return sum(g.edge_cap[e] for e in edge_ids)
+    return sum(g.capacity(e) for e in edge_ids)
+
+
+def naive_unreached(g: CapacitatedGraph) -> int | None:
+    """Smallest vertex with no path to vertex 1, by breadth-first search."""
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    for e in g.edge_ids():
+        u, v = g.endpoints(e)
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        reached = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        frontier = reached
+    return next((v for v in range(1, g.n + 1) if v not in seen), None)

@@ -196,3 +196,13 @@ def test_bench_infeasible_size_is_usage_error():
 def test_unknown_subcommand_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.sparse.csgraph alone takes 0.5-0.7 s, more than the
+    # whole set-up of a small run, and every CLI start would pay it
+    check = ("import bptol.cli, sys; "
+             "assert not any(m.startswith('scipy') for m in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr

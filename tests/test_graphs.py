@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 from bptol import (CapacitatedGraph, ParseError, QueryPair, capacity_ranks,
                    diamond_example, parse_graph, parse_pairs, serialize_graph,
                    single_edge_example, triangle_example, validate)
+from bptol.graphs import MAX_VERTICES
+
+from naive import naive_unreached
 
 G1_TEXT = "3 3\n1 2 5\n2 3 3\n1 3 1\n"
 G2_TEXT = "4 5\n1 2 10\n2 3 8\n3 4 6\n1 3 4\n2 4 2\n"
@@ -45,6 +50,14 @@ def test_parse_accepts_bytes():
     ("3 2\n2 1 5\n1 2 4\n", 3),                # parallel, reversed endpoints
     ("2 1\n1 2 99999999999999999999\n", 2),    # capacity overflow
     ("2 1\n1 2 7\ntrailing\n", 3),
+    # of two defects on different lines, the earlier line wins
+    ("3 4\n2 3 1\n1 2 5\n2 1 4\n1 3 x\n", 4),      # parallel, then bad token
+    ("3 4\n2 3 1\n1 3 x\n1 2 5\n2 1 4\n", 3),      # bad token, then parallel
+    ("3 3\n2 3 1\n1 9 5\n1 2 99999999999999999999\n", 3),  # range, then overflow
+    ("3 3\n2 3 1\n1 2 99999999999999999999\n1 9 5\n", 3),  # overflow, then range
+    ("3 2\n1 2 -9223372036854775808\n2 3 9223372036854775808\n", 3),
+    ("3 2\n1 2 9223372036854775807\n2 9223372036854775808 1\n", 3),
+    ("3037000499 0\n", 1),                    # endpoint keys would overflow int64
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as info:
@@ -53,10 +66,51 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert f"line {line}:" in str(info.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("3 2\n1 2 5\n2 1 4\n", "line 3: parallel edge 2-1 (first on line 2)"),
+    ("3 2\n1 2 5\n2 9223372036854775808 1\n",
+     "line 3: vertex id 9223372036854775808 out of range 1..3"),
+    ("2 1\n1 2 9223372036854775808\n",
+     "line 2: capacity 9223372036854775808 outside signed 64-bit range"),
+    ("2 1\n1 2 -9223372036854775809\n",
+     "line 2: capacity -9223372036854775809 outside signed 64-bit range"),
+    ("3 2\n1 2 5\n2 3 1.5\n", "line 3: non-integer field in '2 3 1.5'"),
+    ("3 2\n1 2 5\n2 3\n", "line 3: expected 'u v c', got '2 3'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("3 3\n1 2 +5\n2 3 007\n1 3 1_000\n", [(1, 2, 5), (2, 3, 7), (1, 3, 1000)]),
+    ("3 2\r\n1\t2\t5\r\n+2 03 -1\r\n", [(1, 2, 5), (2, 3, -1)]),
+    ("2 1\n1 2 -9223372036854775808\n", [(1, 2, -2**63)]),
+    ("2 1\n1 2 9223372036854775807\n", [(1, 2, 2**63 - 1)]),
+    ("2 1\n\u0661 \u0662 \u0663\n", [(1, 2, 3)]),  # int() reads any Unicode digit
+])
+def test_parse_accepts_what_int_accepts(text, rows):
+    assert parse_graph(text) == CapacitatedGraph(int(text.split()[0]), rows)
+
+
+def test_constructor_rejects_values_outside_int64():
+    with pytest.raises(OverflowError):
+        CapacitatedGraph(2, [(1, 2, 2**63)])
+    with pytest.raises(ValueError):
+        CapacitatedGraph(MAX_VERTICES + 1, [])
+    top = MAX_VERTICES
+    g = CapacitatedGraph(top, [(1, 2, 5), (top, top - 1, 6)])  # the largest key fits
+    assert g.edge_between(top - 1, top) == 2 and g.edge_between(1, top) is None
+
+
 def test_parse_allows_self_loop_then_validate_rejects():
     g = parse_graph("2 2\n1 1 3\n1 2 7\n")
     v = validate(g)
     assert v is not None and v.kind == "self-loop" and v.witness == (1,)
+    g = parse_graph("3 4\n1 2 7\n3 3 1\n3 3 2\n2 3 4\n")  # a repeated self-loop
+    v = validate(g)
+    assert v is not None and v.kind == "self-loop" and v.witness == (2,)
 
 
 def test_validate_fixtures_pass():
@@ -69,6 +123,60 @@ def test_validate_disconnected():
     v = validate(g)
     assert v is not None and v.kind == "disconnected"
     assert v.witness == (1, 3)
+
+
+def _path(rng, n):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return list(zip(perm, perm[1:]))
+
+
+def _components(rng, n, count):
+    # a random tree inside each of `count` random vertex classes
+    classes = [[] for _ in range(count)]
+    for v in range(1, n + 1):
+        classes[rng.randrange(count)].append(v)
+    pairs = []
+    for members in classes:
+        rng.shuffle(members)
+        pairs += [(v, rng.choice(members[:i])) for i, v in enumerate(members) if i]
+    return pairs
+
+
+@pytest.mark.parametrize("shape", ["path", "path-missing-edge", "star-missing-leaf",
+                                   "three-components", "five-components"])
+def test_validate_connectivity_matches_naive(shape):
+    rng = random.Random(shape)
+    n = 2000
+    if shape.startswith("path"):
+        pairs = _path(rng, n)
+        if shape == "path-missing-edge":
+            del pairs[rng.randrange(len(pairs))]
+    elif shape == "star-missing-leaf":
+        pairs = [(n, v) for v in range(1, n) if v != 1234]  # centre is the largest id
+    else:
+        pairs = _components(rng, n, 3 if shape == "three-components" else 5)
+    g = CapacitatedGraph(n, [(u, v, c) for c, (u, v) in enumerate(pairs)])
+    unreached = naive_unreached(g)
+    assert (unreached is None) == (shape == "path")
+    v = validate(g)
+    if unreached is None:
+        assert v is None
+    else:
+        assert v is not None and v.kind == "disconnected"
+        assert v.witness == (1, unreached)
+        assert v.message == f"vertices 1 and {unreached} lie in different components"
+
+
+@pytest.mark.parametrize("edges,kind,witness", [
+    ([(1, 2, 1), (2, 3, 2), (3, 2, 3), (1, 2, 4)], "parallel-edges", (2, 3)),
+    ([(1, 2, 9), (2, 3, 5), (3, 4, 9), (4, 1, 5), (1, 3, 2), (2, 4, 5)],
+     "duplicate-capacity", (2, 4)),
+])
+def test_validate_witnesses(edges, kind, witness):
+    v = validate(CapacitatedGraph(4, edges))
+    assert v is not None and v.kind == kind and v.witness == witness
+    assert all(type(x) is int for x in v.witness)
 
 
 def test_validate_duplicate_capacity_and_break_ties():
@@ -87,11 +195,9 @@ def test_validate_order_self_loop_first():
 
 def test_adjacency_and_lookups():
     g = diamond_example()
-    assert g.degree(3) == 3
-    assert sorted(g.incident(1)) == [(2, 1), (3, 4)]
-    assert [e for _, e in g.incident(2)] == [1, 2, 5]  # input order
     assert g.endpoints(4) == (1, 3)
     assert g.capacity(3) == 6
+    assert [type(x) for x in (*g.endpoints(4), g.capacity(3), g.edge_between(2, 4))] == [int] * 4
     assert g.edge_between(2, 4) == 5
     assert g.edge_between(4, 2) == 5
     assert g.edge_between(1, 4) is None

@@ -19,7 +19,7 @@ def test_fixture_trees():
 
 def test_membership_flags_and_contains():
     t = build_max_spanning_tree(diamond_example())
-    assert t.is_tree_edge == (False, True, True, True, False, False)
+    assert t.is_tree_edge.tolist() == [False, True, True, True, False, False]
     assert 2 in t and 5 not in t
 
 

@@ -27,6 +27,7 @@ def test_preprocess_contexts():
     assert o.contexts[0].bottleneck_edge == 3
     assert o.contexts[0].bottleneck_value == 6
     assert o.bottleneck_value(0) == 6
+    assert type(o.bottleneck_value(0)) is int  # an int64 would wrap in arithmetic
 
     o = preprocess(triangle_example(), [(1, 3)])
     assert o.contexts[0].bottleneck_edge == 2
