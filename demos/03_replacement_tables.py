@@ -34,7 +34,7 @@ for e in range(1, g.m + 1):
     else:
         rep = tables.U[e]
         kind = "non-tree U"
-    shown = rep if rep is not None else "-"
+    shown = rep if rep != 0 else "-"
     print(f"edge {e} ({u}-{v}, c={g.capacity(e):2d})  {kind}[{e}] = {shown}")
 
 # Reading the table: chord 4 spans 1..3, whose tree path is edges 1 and 2;

@@ -2,11 +2,11 @@
 
 Vertices are numbered 1..n and edges 1..m, matching the text format.  A graph
 is three read-only int64 columns of length m+1 (slot 0 unused) that every
-stage reads directly; its accessors return Python ints, because int64
-arithmetic wraps silently.  A graph is only a container here — :func:`validate`
-decides whether it satisfies the contract the rest of the library relies on
-(simple, connected, pairwise-distinct capacities).  Parsing and validation
-work on whole columns.
+stage reads directly, plus its edge ids in capacity order, sorted once; its
+accessors return Python ints, because int64 arithmetic wraps silently.  A
+graph is only a container here — :func:`validate` decides whether it
+satisfies the contract the rest of the library relies on (simple, connected,
+pairwise-distinct capacities).  Parsing and validation work on whole columns.
 """
 from __future__ import annotations
 
@@ -36,12 +36,14 @@ class CapacitatedGraph:
 
     ``edge_u``, ``edge_v`` and ``edge_cap`` are the whole graph.  Its endpoint
     keys lo*(n+1)+hi, sorted once, serve ``edge_between`` and the parallel-edge
-    checks, so n is at most MAX_VERTICES.  Immutable after construction, so
+    checks, so n is at most MAX_VERTICES.  ``capacity_order``, sorted once,
+    lists the edge ids in ascending (capacity, EdgeId) order; every capacity
+    comparison in the library follows it.  Immutable after construction, so
     concurrent reads are safe.
     """
 
-    __slots__ = ("n", "m", "edge_u", "edge_v", "edge_cap", "_endpoint_keys",
-                 "_endpoint_edges")
+    __slots__ = ("n", "m", "edge_u", "edge_v", "edge_cap", "capacity_order",
+                 "_endpoint_keys", "_endpoint_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] | np.ndarray):
         """``edges`` holds (u, v, c) rows, as tuples or an (m, 3) integer
@@ -62,6 +64,8 @@ class CapacitatedGraph:
         order = np.argsort(keys, kind="stable")
         self._endpoint_keys = keys[order]
         self._endpoint_edges = order + 1
+        self.capacity_order = np.argsort(self.edge_cap[1:], kind="stable") + 1
+        self.capacity_order.flags.writeable = False
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return int(self.edge_u[e]), int(self.edge_v[e])
@@ -281,7 +285,7 @@ def validate(g: CapacitatedGraph, *, allow_equal_capacities: bool = False) -> Vi
                          f"vertices 1 and {unreached} lie in different components",
                          (1, unreached))
     if not allow_equal_capacities:
-        order = _capacity_order(g)
+        order = g.capacity_order
         caps = g.edge_cap[order]
         tied = np.flatnonzero(caps[1:] == caps[:-1])
         if len(tied):
@@ -317,20 +321,16 @@ def first_unreached(n: int, us: np.ndarray, vs: np.ndarray) -> int | None:
     return int(unreached[0]) + 1 if len(unreached) else None
 
 
-def _capacity_order(g: CapacitatedGraph) -> np.ndarray:
-    """Edge ids in ascending (capacity, EdgeId) order."""
-    return np.argsort(g.edge_cap[1:], kind="stable") + 1
-
-
 def capacity_ranks(g: CapacitatedGraph) -> np.ndarray:
     """rank[e] = position of edge e in ascending (capacity, EdgeId) order.
 
     Length m+1 with rank[0] = m, an above-everything sentinel for "no edge".
     Comparing ranks is comparing capacities whenever capacities are injective,
-    and realizes the documented lexicographic tie-break otherwise.
+    and realizes the documented lexicographic tie-break otherwise.  The
+    inverse permutation of ``g.capacity_order``; O(m).
     """
     rank = np.full(g.m + 1, g.m, dtype=np.int64)
-    rank[_capacity_order(g)] = np.arange(g.m, dtype=np.int64)
+    rank[g.capacity_order] = np.arange(g.m, dtype=np.int64)
     return rank
 
 

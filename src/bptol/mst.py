@@ -1,8 +1,9 @@
 """Maximum spanning tree via Kruskal over the (capacity, EdgeId) order.
 
 With pairwise-distinct capacities the maximum spanning tree is unique, so the
-result is independent of edge input order.  The descending scan uses the same
-rank order as every other capacity comparison in the library.
+result is independent of edge input order.  The descending scan reads the
+graph's ``capacity_order``, which every other capacity comparison in the
+library follows.
 
 The same pass records the merge chain.  Each component keeps its vertices as
 one run; when tree edge f joins components A and B, B's run is appended to
@@ -15,35 +16,36 @@ range-minimum table answers every tree-path minimum (see tree_index).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsu import DisjointSets
-from .graphs import CapacitatedGraph, capacity_ranks
+from .graphs import CapacitatedGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """n-1 tree edge ids plus read-only arrays that take no part in comparison:
-    ``is_tree_edge``, a bool column of length m+1 (slot 0 False); ``chain``,
-    the n vertices in merge order; and ``junction[i]``, the tree edge between
-    chain[i] and chain[i+1].
+    """Read-only arrays: ``is_tree_edge``, a bool column of length m+1 (slot
+    0 False) that marks the n-1 tree edges; ``chain``, the n vertices in
+    merge order; and ``junction[i]``, the tree edge between chain[i] and
+    chain[i+1].
     """
-    edge_ids: frozenset[int]
-    is_tree_edge: np.ndarray = field(compare=False, repr=False)
-    chain: np.ndarray = field(compare=False, repr=False)
-    junction: np.ndarray = field(compare=False, repr=False)
+    is_tree_edge: np.ndarray
+    chain: np.ndarray
+    junction: np.ndarray
+
+    @property
+    def edge_ids(self) -> frozenset[int]:
+        """The tree edge ids, derived from ``is_tree_edge`` on each access."""
+        return frozenset(np.flatnonzero(self.is_tree_edge).tolist())
 
     def __contains__(self, e: int) -> bool:
         return bool(self.is_tree_edge[e])
 
 
-def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None) -> SpanningTree:
+def build_max_spanning_tree(g: CapacitatedGraph) -> SpanningTree:
     """Unique maximum spanning tree of a validated (connected) graph."""
-    if rank is None:
-        rank = capacity_ranks(g)
-    order = np.argsort(rank[1:], kind="stable")[::-1] + 1
     sets = DisjointSets(g.n + 1)
     find, join = sets.find, sets.join
     chosen = []
@@ -55,7 +57,7 @@ def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None)
     last = list(range(g.n + 1))
     succ = [0] * (g.n + 1)
     via = [0] * (g.n + 1)
-    for e in order.tolist():
+    for e in g.capacity_order[::-1].tolist():
         a, b = find(edge_u[e]), find(edge_v[e])
         if a == b:
             continue
@@ -77,4 +79,4 @@ def build_max_spanning_tree(g: CapacitatedGraph, rank: np.ndarray | None = None)
     chain_arr = np.array(chain, dtype=np.int64)
     for column in (is_tree_edge, chain_arr, junction):
         column.flags.writeable = False
-    return SpanningTree(frozenset(chosen), is_tree_edge, chain_arr, junction)
+    return SpanningTree(is_tree_edge, chain_arr, junction)

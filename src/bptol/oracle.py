@@ -84,8 +84,7 @@ class PairContext:
 class ToleranceOracle:
     __slots__ = ("graph", "tree", "index", "tables", "contexts",
                  "_s_tin", "_t_tin", "_estar", "_estar_cap", "_cap_u",
-                 "_estar_cap_u", "_u_arr", "_l_arr",
-                 "_zero", "_none")
+                 "_estar_cap_u", "_zero", "_none")
 
     def __init__(self, graph: CapacitatedGraph, tree: SpanningTree,
                  index: RootedTreeIndex, tables: ReplacementTables,
@@ -110,8 +109,6 @@ class ToleranceOracle:
         # uint64 views of the same buffers, for wrap-around subtraction
         self._cap_u = cap.view(np.uint64)
         self._estar_cap_u = self._estar_cap.view(np.uint64)
-        self._u_arr = np.array([e or 0 for e in self.tables.U], dtype=np.int64)
-        self._l_arr = np.array([e or 0 for e in self.tables.L], dtype=np.int64)
         k = len(self.contexts)
         self._zero = np.zeros(k, dtype=np.uint64)
         self._none = np.zeros(k, dtype=bool)
@@ -127,7 +124,7 @@ class ToleranceOracle:
         self._check_edge(e)
         cap_e = self._cap_u[e]
         if self.tree.is_tree_edge[e]:
-            rep = self._l_arr[e]
+            rep = self.tables.L[e]
             if rep == 0:
                 return True, self._zero, self._none
             idx = self.index
@@ -135,7 +132,7 @@ class ToleranceOracle:
             on = idx.ancestor_mask(y, self._s_tin) != idx.ancestor_mask(y, self._t_tin)
             floor = np.minimum(self._estar_cap, self.graph.edge_cap[rep])
             return True, cap_e - floor.view(np.uint64), on
-        return False, self._estar_cap_u - cap_e, self._estar == self._u_arr[e]
+        return False, self._estar_cap_u - cap_e, self._estar == self.tables.U[e]
 
     def query_edge_arrays(self, e: int) -> EdgeArrays:
         """All 2k tolerances of edge e as uint64 columns with finite masks;
@@ -196,7 +193,7 @@ def preprocess(g: CapacitatedGraph, pairs: list[QueryPair]) -> ToleranceOracle:
         if p.s == p.t:
             raise ValueError(f"pair ({p.s}, {p.t}) has equal endpoints")
     rank = capacity_ranks(g)
-    tree = build_max_spanning_tree(g, rank)
+    tree = build_max_spanning_tree(g)
     idx = build_index(tree, g, root=1, rank=rank)
     tables = build_replacement_tables(g, tree, idx)
     ss = np.array([p.s for p in pairs], dtype=np.int64)

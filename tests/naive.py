@@ -77,30 +77,32 @@ def naive_path_min_edge(g: CapacitatedGraph, edge_ids, s: int, t: int) -> int:
                key=lambda e: (g.edge_cap[e], e))
 
 
-def naive_upper_replacements(g: CapacitatedGraph, tree: SpanningTree):
-    """Definition-level U: min-capacity tree edge on each fundamental path."""
-    table: list[int | None] = [None] * (g.m + 1)
+def naive_upper_replacements(g: CapacitatedGraph, tree: SpanningTree) -> list[int]:
+    """Definition-level U: min-capacity tree edge on each fundamental path;
+    0 for tree edges and slot 0."""
+    table = [0] * (g.m + 1)
     for e in g.edge_ids():
         if e not in tree:
             u, v = g.endpoints(e)
             table[e] = naive_path_min_edge(g, tree.edge_ids, u, v)
-    return tuple(table)
+    return table
 
 
-def naive_lower_replacements(g: CapacitatedGraph, tree: SpanningTree):
-    """Definition-level L: max-capacity non-tree edge covering each tree edge."""
-    table: list[int | None] = [None] * (g.m + 1)
+def naive_lower_replacements(g: CapacitatedGraph, tree: SpanningTree) -> list[int]:
+    """Definition-level L: max-capacity non-tree edge covering each tree
+    edge; 0 for bridges, non-tree edges and slot 0."""
+    table = [0] * (g.m + 1)
     for e in g.edge_ids():
         if e not in tree:
             u, v = g.endpoints(e)
             for te in tree_path_edges(g, tree.edge_ids, u, v):
                 best = table[te]
-                if best is None or (g.edge_cap[e], e) > (g.edge_cap[best], best):
+                if best == 0 or (g.edge_cap[e], e) > (g.edge_cap[best], best):
                     table[te] = e
     for e in g.edge_ids():
         if e not in tree:
-            table[e] = None
-    return tuple(table)
+            table[e] = 0
+    return table
 
 
 def naive_tolerances(g: CapacitatedGraph, tree: SpanningTree, s: int, t: int):
@@ -118,7 +120,7 @@ def naive_tolerances(g: CapacitatedGraph, tree: SpanningTree, s: int, t: int):
     for e in g.edge_ids():
         if e in path:
             rep = lower_rep[e]
-            lower = math.inf if rep is None else cap[e] - min(cap[rep], cap[e_star])
+            lower = math.inf if rep == 0 else cap[e] - min(cap[rep], cap[e_star])
             out.append((lower, math.inf))
         elif upper_rep[e] == e_star:
             out.append((math.inf, cap[e_star] - cap[e]))

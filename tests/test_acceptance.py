@@ -81,9 +81,8 @@ def test_criterion_3_tree_path_minimum_is_bottleneck():
     rng = random.Random(1003)
     for _ in range(500):
         g = random_connected_graph(rng, 8)
-        rank = capacity_ranks(g)
-        tree = build_max_spanning_tree(g, rank=rank)
-        idx = build_index(tree, g, rank=rank)
+        tree = build_max_spanning_tree(g)
+        idx = build_index(tree, g, rank=capacity_ranks(g))
         for s in range(1, g.n + 1):
             for t in range(s + 1, g.n + 1):
                 e = idx.path_min_edge(s, t)
@@ -100,30 +99,28 @@ def test_criterion_4_replacement_tables():
     rng = random.Random(1004)
     for _ in range(500):
         g = random_connected_graph(rng, 8)
-        rank = capacity_ranks(g)
-        tree = build_max_spanning_tree(g, rank=rank)
-        idx = build_index(tree, g, rank=rank)
+        tree = build_max_spanning_tree(g)
+        idx = build_index(tree, g, rank=capacity_ranks(g))
         tables = build_replacement_tables(g, tree, idx)
-        assert tables.U == naive_upper_replacements(g, tree)
-        assert tables.L == naive_lower_replacements(g, tree)
+        assert tables.U.tolist() == naive_upper_replacements(g, tree)
+        assert tables.L.tolist() == naive_lower_replacements(g, tree)
     for _ in range(60):
         g = random_connected_graph(rng, 6)
-        rank = capacity_ranks(g)
-        tree = build_max_spanning_tree(g, rank=rank)
-        idx = build_index(tree, g, rank=rank)
+        tree = build_max_spanning_tree(g)
+        idx = build_index(tree, g, rank=capacity_ranks(g))
         tables = build_replacement_tables(g, tree, idx)
         all_trees = spanning_tree_edge_sets(g)
         for e in range(1, g.m + 1):
             if e in tree:
-                if tables.L[e] is None:
+                if tables.L[e] == 0:
                     assert all(e in t for t in all_trees)
                     continue
-                swapped = (tree.edge_ids - {e}) | {tables.L[e]}
+                swapped = (tree.edge_ids - {e}) | {int(tables.L[e])}
                 best = max(tree_capacity_sum(g, t)
                            for t in all_trees if e not in t)
                 assert tree_capacity_sum(g, swapped) == best
             else:
-                swapped = (tree.edge_ids - {tables.U[e]}) | {e}
+                swapped = (tree.edge_ids - {int(tables.U[e])}) | {e}
                 best = max(tree_capacity_sum(g, t)
                            for t in all_trees if e in t)
                 assert tree_capacity_sum(g, swapped) == best

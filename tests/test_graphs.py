@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bptol import (CapacitatedGraph, ParseError, QueryPair, capacity_ranks,
-                   diamond_example, parse_graph, parse_pairs, serialize_graph,
-                   single_edge_example, triangle_example, validate)
+                   diamond_example, parse_graph, parse_pairs, preprocess,
+                   random_connected_graph, serialize_graph, single_edge_example,
+                   triangle_example, validate)
 from bptol.graphs import MAX_VERTICES
 
 from naive import naive_unreached
@@ -223,6 +225,40 @@ def test_capacity_ranks_sentinel_and_order():
     rank = capacity_ranks(g)
     assert rank[0] == 3              # sentinel: above every real edge
     assert list(rank[1:]) == [2, 1, 0]
+
+
+@pytest.mark.parametrize("coarsen", [1, 8])
+def test_capacity_order_is_sorted_once(coarsen, monkeypatch):
+    # Coarsened capacities tie; ties go to the smaller edge id.  Once a graph
+    # is built, validating and preprocessing it sort nothing more.
+    rng = random.Random(57 + coarsen)
+    sorts = 0
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal sorts
+            sorts += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    ties = 0
+    for _ in range(60):
+        base = random_connected_graph(rng, 40)
+        g = CapacitatedGraph(base.n, [(*base.endpoints(e), base.capacity(e) // coarsen)
+                                      for e in base.edge_ids()])
+        caps = g.edge_cap.tolist()
+        ties += g.m - len(set(caps[1:]))
+        assert g.capacity_order.tolist() == sorted(g.edge_ids(), key=lambda e: (caps[e], e))
+        assert not g.capacity_order.flags.writeable
+        assert np.array_equal(capacity_ranks(g)[g.capacity_order], np.arange(g.m))
+        pairs = [(1, g.n)] + [tuple(rng.sample(range(1, g.n + 1), 2)) for _ in range(3)]
+        with monkeypatch.context() as patched:
+            for name in ("argsort", "sort", "lexsort"):
+                patched.setattr(np, name, counted(getattr(np, name)))
+            validate(g)
+            preprocess(g, pairs)
+        assert sorts == 0
+    assert (ties > 0) == (coarsen > 1)
 
 
 def test_parse_pairs():

@@ -6,7 +6,6 @@ from bptol import (CapacitatedGraph, brute_max_spanning_tree,
                    build_max_spanning_tree, diamond_example,
                    random_connected_graph, single_edge_example,
                    triangle_example)
-from bptol.graphs import capacity_ranks
 
 from naive import naive_path_min_edge, spanning_tree_edge_sets, tree_capacity_sum
 
@@ -62,7 +61,7 @@ def test_independent_of_edge_input_order():
 def test_chain_junctions_are_path_minima(coarsen):
     # Each junction is the minimum-capacity edge on the tree path between
     # the two chain neighbours it separates; coarsened capacities tie, and
-    # ties go to the smaller edge id, as capacity_ranks orders them.
+    # ties go to the smaller edge id, as g.capacity_order orders them.
     rng = random.Random(91 + coarsen)
     ties = 0
     for _ in range(60):
@@ -70,7 +69,7 @@ def test_chain_junctions_are_path_minima(coarsen):
         g = CapacitatedGraph(g.n, [(g.edge_u[e], g.edge_v[e], g.edge_cap[e] // coarsen)
                                    for e in g.edge_ids()])
         ties += g.m - len(set(g.edge_cap[1:]))
-        tree = build_max_spanning_tree(g, capacity_ranks(g))
+        tree = build_max_spanning_tree(g)
         chain, junction = tree.chain.tolist(), tree.junction.tolist()
         assert sorted(chain) == list(range(1, g.n + 1))
         assert sorted(junction) == sorted(tree.edge_ids)

@@ -227,9 +227,8 @@ def test_path_minima_and_lower_table_on_extreme_shapes(shape, height):
     rng = random.Random(31 if shape == "path" else 32)
     n = 2000
     g = _shaped_graph(rng, n, shape, chords=600)
-    rank = capacity_ranks(g)
-    tree = build_max_spanning_tree(g, rank=rank)
-    idx = build_index(tree, g, rank=rank)
+    tree = build_max_spanning_tree(g)
+    idx = build_index(tree, g, rank=capacity_ranks(g))
     assert max(idx.depth(v) for v in range(1, n + 1)) == height
     pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(150)]
     pairs += [(v, v) for v in rng.sample(range(1, n + 1), 10)]
@@ -238,4 +237,4 @@ def test_path_minima_and_lower_table_on_extreme_shapes(shape, height):
     for (s, t), e in zip(pairs, got.tolist()):
         expected = 0 if s == t else naive_path_min_edge(g, tree.edge_ids, s, t)
         assert e == expected
-    assert compute_lower_replacements(g, tree, idx) == naive_lower_replacements(g, tree)
+    assert compute_lower_replacements(g, tree, idx).tolist() == naive_lower_replacements(g, tree)
