@@ -13,6 +13,7 @@ import random
 from bptol import (
     build_index,
     build_max_spanning_tree,
+    capacity_ranks,
     enumerate_simple_paths,
     random_connected_graph,
 )
@@ -22,7 +23,7 @@ g = random_connected_graph(rng, 8)
 print(f"random connected graph: n={g.n}, m={g.m}")
 
 tree = build_max_spanning_tree(g)
-idx = build_index(tree, g)
+idx = build_index(tree, g, capacity_ranks(g))
 print("tree edges:", sorted(tree.edge_ids))
 
 # For every pair: the minimum capacity along the tree path equals the

@@ -13,12 +13,13 @@ from bptol import (
     build_index,
     build_max_spanning_tree,
     build_replacement_tables,
+    capacity_ranks,
     diamond_example,
 )
 
 g = diamond_example()
 tree = build_max_spanning_tree(g)
-idx = build_index(tree, g)
+idx = build_index(tree, g, capacity_ranks(g))
 tables = build_replacement_tables(g, tree, idx)
 
 print("graph: 4 vertices, capacities 10, 8, 6 on the chain 1-2-3-4,")

@@ -41,6 +41,12 @@ for e in range(1, g.m + 1):
 #    the path, so its upper tolerance is 6 - 2 = 4.
 #  * Chord 4 can grow forever: every route through it is already capped
 #    at 6 by its neighbours, so (inf, inf).
-assert oracle.query_edge_for_pair(3, 0) == (4, INFINITY)
-assert oracle.query_edge_for_pair(5, 0) == (INFINITY, 4)
-assert oracle.query_edge_for_pair(4, 0) == (INFINITY, INFINITY)
+assert oracle.query_edge(3)[0] == (4, INFINITY)
+assert oracle.query_edge(5)[0] == (INFINITY, 4)
+assert oracle.query_edge(4)[0] == (INFINITY, INFINITY)
+
+# finite_entries is the kernel behind query_edge: it lists only the pairs
+# with a finite side, as (pair index, lower, upper).  The CLI formats these
+# and copies an all-inf record for every other pair.
+assert list(oracle.finite_entries(3)) == [(0, 4, INFINITY)]
+assert list(oracle.finite_entries(4)) == [(1, INFINITY, 4)]  # pair 2 only

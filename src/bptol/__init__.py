@@ -15,8 +15,8 @@ from .tree_index import RootedTreeIndex, build_index
 from .replacement import (ReplacementTables, build_replacement_tables,
                           compute_lower_replacements,
                           compute_upper_replacements)
-from .oracle import (INFINITY, EdgeArrays, EdgeTolerances, PairContext, Tolerance,
-                     ToleranceOracle, preprocess)
+from .oracle import (INFINITY, EdgeTolerances, Tolerance, ToleranceOracle,
+                     preprocess)
 from .reference import (PairAnalysis, PathSet, brute_bottleneck,
                         brute_max_spanning_tree, brute_tolerances,
                         check_perturbation, enumerate_simple_paths)
@@ -36,8 +36,7 @@ __all__ = [
     "RootedTreeIndex", "build_index",
     "ReplacementTables", "build_replacement_tables",
     "compute_upper_replacements", "compute_lower_replacements",
-    "INFINITY", "EdgeArrays", "EdgeTolerances", "PairContext", "Tolerance",
-    "ToleranceOracle", "preprocess",
+    "INFINITY", "EdgeTolerances", "Tolerance", "ToleranceOracle", "preprocess",
     "PairAnalysis", "PathSet", "brute_bottleneck", "brute_max_spanning_tree",
     "brute_tolerances", "check_perturbation", "enumerate_simple_paths",
     "all_connected_graphs", "random_benchmark_graph",

@@ -71,8 +71,7 @@ def cmd_validate(args) -> int:
 
 def _pair_records(oracle: ToleranceOracle) -> tuple[list[str], list[str]]:
     """Each pair's "i s t " prefix and its all-inf record."""
-    prefixes = [f"{i} {c.pair.s} {c.pair.t} "
-                for i, c in enumerate(oracle.contexts, start=1)]
+    prefixes = [f"{i} {p.s} {p.t} " for i, p in enumerate(oracle.pairs, start=1)]
     return prefixes, [p + "inf inf" for p in prefixes]
 
 
@@ -218,6 +217,8 @@ def cmd_bench(args) -> int:
     queries = args.pos_queries if args.pos_queries is not None else BENCH_DEFAULTS[3]
     seed = args.seed if args.seed is not None else (
         args.pos_seed if args.pos_seed is not None else BENCH_DEFAULTS[4])
+    if queries < 1:
+        raise ValueError(f"QUERIES must be at least 1, got {queries}")
 
     t0 = time.perf_counter()
     g = random_benchmark_graph(n, m, seed)

@@ -1,27 +1,22 @@
-"""Disjoint sets over the integers 0..size-1, with find / join / union.
+"""Disjoint sets over the integers 0..size-1, with find / join.
 
 Two Python lists sized up front: ``_parent`` links each element towards its
 set's canonical element, and ``_rank`` bounds the height of each canonical
 element's tree.  find uses path halving and join uses union by rank, which
 give Tarjan's near-constant amortized bound.  join deliberately takes
-canonical elements only; the union convenience wrapper dereferences arbitrary
-members first.  Callers work on vertex ids 1..n and size the structure n+1.
+canonical elements only: the Kruskal and L-table loops have already called
+find on both sides.  Callers work on vertex ids 1..n and size the structure
+n+1.
 """
 from __future__ import annotations
 
 
 class DisjointSets:
-    __slots__ = ("_parent", "_rank", "_count")
+    __slots__ = ("_parent", "_rank")
 
     def __init__(self, size: int):
         self._parent = list(range(size))
         self._rank = [0] * size
-        self._count = size
-
-    @property
-    def count(self) -> int:
-        """Number of current subsets."""
-        return self._count
 
     def find(self, x: int) -> int:
         """Canonical element of the subset containing x."""
@@ -47,13 +42,4 @@ class DisjointSets:
         parent[y] = x
         if rank[x] == rank[y]:
             rank[x] += 1
-        self._count -= 1
         return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the subsets containing a and b; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.join(ra, rb)
-        return True

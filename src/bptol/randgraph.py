@@ -78,7 +78,9 @@ def all_connected_graphs(n: int, rng: random.Random):
 
 def random_benchmark_graph(n: int, m: int, seed: int) -> CapacitatedGraph:
     """Large connected graph for timing runs: random attachment tree plus
-    uniformly sampled extra edges; capacities are a permutation of 1..m."""
+    extra edges drawn uniformly from the absent vertex pairs, kept in the
+    order they were drawn so that no vertex id is favoured; capacities are a
+    permutation of 1..m."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if not n - 1 <= m <= n * (n - 1) // 2:
@@ -88,25 +90,21 @@ def random_benchmark_graph(n: int, m: int, seed: int) -> CapacitatedGraph:
     parents = gen.integers(1, kids)  # uniform in 1..i-1 for vertex i
     lo = np.minimum(kids, parents)
     hi = np.maximum(kids, parents)
-    keys = {int(k) for k in (lo * (n + 1) + hi)}
-    us = [lo]
-    vs = [hi]
+    tree_keys = lo * (n + 1) + hi
     need = m - (n - 1)
-    while need > 0:
-        a = gen.integers(1, n + 1, size=2 * need + 16)
-        b = gen.integers(1, n + 1, size=2 * need + 16)
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < need:
+        draw = 2 * (need - len(keys)) + 16
+        a = gen.integers(1, n + 1, size=draw)
+        b = gen.integers(1, n + 1, size=draw)
         keep = a != b
         a, b = a[keep], b[keep]
-        lo2, hi2 = np.minimum(a, b), np.maximum(a, b)
-        cand = np.unique(lo2 * (n + 1) + hi2)
-        fresh = np.array([k for k in cand.tolist() if k not in keys],
-                         dtype=np.int64)[:need]
-        keys.update(fresh.tolist())
-        us.append(fresh // (n + 1))
-        vs.append(fresh % (n + 1))
-        need -= len(fresh)
-    u_all = np.concatenate(us)
-    v_all = np.concatenate(vs)
+        cand = np.concatenate([keys, np.minimum(a, b) * (n + 1) + np.maximum(a, b)])
+        _, first = np.unique(cand, return_index=True)
+        cand = cand[np.sort(first)]  # drop repeats, keep draw order
+        keys = cand[~np.isin(cand, tree_keys)][:need]
+    u_all = np.concatenate([lo, keys // (n + 1)])
+    v_all = np.concatenate([hi, keys % (n + 1)])
     order = gen.permutation(m)
     u_all, v_all = u_all[order], v_all[order]
     caps = gen.permutation(m) + 1

@@ -10,11 +10,12 @@ Cartesian Trees and Range Minimum Queries", ICALP 2009).  One sparse table
 over the junctions, where row j holds the minimum-rank edge of every window
 of 2^j junctions, answers it with two lookups.  No LCA is needed.
 
-One iterative DFS from the root records parent links, depths and each
-vertex's preorder interval [tin, tout), and orients every tree edge
-child->parent, so testing whether an edge lies on the tree path between s and
-t costs two ancestor checks.  Everything is immutable after construction and
-safe for concurrent reads.
+One iterative DFS from vertex 1, the root, records parent links, depths and
+each vertex's preorder interval [tin, tout), and orients every tree edge
+child->parent.  Tree edge e lies on the tree path between s and t exactly
+when one of s, t lies in the subtree of e's child endpoint and the other does
+not; ``ancestor_mask`` tests that subtree for many vertices at once.
+Everything is immutable after construction and safe for concurrent reads.
 
 ``path_min_edge_batch`` takes numpy arrays and is the one implementation;
 the scalar ``path_min_edge`` calls it.
@@ -23,27 +24,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import CapacitatedGraph, capacity_ranks
+from .graphs import CapacitatedGraph
 from .mst import SpanningTree
 
 
 class RootedTreeIndex:
-    __slots__ = ("root", "n", "rank", "parent", "parent_edge", "tree_edge_child",
+    __slots__ = ("n", "rank", "parent", "parent_edge", "tree_edge_child",
                  "_depth", "_tin", "_tout", "_pos", "_table")
 
-    def __init__(self, g: CapacitatedGraph, tree: SpanningTree, root: int,
-                 rank: np.ndarray | None = None):
-        if rank is None:
-            rank = capacity_ranks(g)
+    def __init__(self, g: CapacitatedGraph, tree: SpanningTree, rank: np.ndarray):
         self.rank = rank
-        self.root = root
         self.n = g.n
-        self._root_tree(g, tree, root)
+        self._root_tree(g, tree)
         self._build_range_minima(tree)
 
     # -- construction -----------------------------------------------------
 
-    def _root_tree(self, g: CapacitatedGraph, tree: SpanningTree, root: int) -> None:
+    def _root_tree(self, g: CapacitatedGraph, tree: SpanningTree) -> None:
         n = g.n
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         tree_edges = np.flatnonzero(tree.is_tree_edge)
@@ -55,7 +52,7 @@ class RootedTreeIndex:
         parent_edge = [0] * (n + 1)
         depth = [0] * (n + 1)
         preorder = []
-        stack = [root]
+        stack = [1]
         while stack:
             v = stack.pop()
             preorder.append(v)
@@ -101,10 +98,6 @@ class RootedTreeIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def is_ancestor(self, a: int, x: int) -> bool:
-        """True iff a is an ancestor of x (every vertex is its own ancestor)."""
-        return bool(self._tin[a] <= self._tin[x] and self._tin[x] < self._tout[a])
-
     def path_min_edge(self, s: int, t: int) -> int:
         """EdgeId with minimum capacity on the tree path s..t; O(1)."""
         if s == t:
@@ -127,32 +120,21 @@ class RootedTreeIndex:
         best = np.where(self.rank[a] <= self.rank[b], a, b)
         return np.where(span > 0, best, 0)
 
-    def edge_on_path(self, e: int, s: int, t: int) -> bool:
-        """True iff tree edge e lies on the tree path s..t; O(1).
-
-        With y the deeper endpoint of e, the edge is on the path exactly when
-        one of s, t has y as an ancestor and the other does not.
-        """
-        y = int(self.tree_edge_child[e])
-        if y == 0:
-            raise ValueError(f"edge {e} is not a tree edge")
-        if s == t:
-            raise ValueError("edge_on_path requires two distinct endpoints")
-        return self.is_ancestor(y, s) != self.is_ancestor(y, t)
-
     def depth(self, x: int) -> int:
         """Distance from the root; O(1)."""
         return self._depth[x]
 
     def ancestor_mask(self, a: int, xs_tin: np.ndarray) -> np.ndarray:
-        """Vectorized is_ancestor(a, x) over precomputed tin[x] values."""
+        """For each precomputed tin[x], whether a is an ancestor of x (every
+        vertex is its own ancestor)."""
         return (self._tin[a] <= xs_tin) & (xs_tin < self._tout[a])
 
     def tin_of(self, xs: np.ndarray) -> np.ndarray:
         return self._tin[xs]
 
 
-def build_index(tree: SpanningTree, g: CapacitatedGraph, root: int = 1,
-                rank: np.ndarray | None = None) -> RootedTreeIndex:
-    """Root the spanning tree and build its tables; O(n log n)."""
-    return RootedTreeIndex(g, tree, root, rank)
+def build_index(tree: SpanningTree, g: CapacitatedGraph,
+                rank: np.ndarray) -> RootedTreeIndex:
+    """Root the spanning tree at vertex 1 and build its tables, with ``rank``
+    from ``capacity_ranks(g)``; O(n log n)."""
+    return RootedTreeIndex(g, tree, rank)

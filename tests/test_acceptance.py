@@ -72,7 +72,7 @@ def test_criterion_2_unbounded_increase_on_shadowed_edge():
         assert analysis.still_optimal(4, -delta) is True
     # Route 3: the oracle's query.
     o = preprocess(g, [(1, 4)])
-    assert o.query_edge_for_pair(4, 0) == (INFINITY, INFINITY)
+    assert o.query_edge(4) == [(INFINITY, INFINITY)]
 
 
 def test_criterion_3_tree_path_minimum_is_bottleneck():
@@ -137,10 +137,11 @@ def test_criterion_5_perturbation_semantics():
         g = random_connected_graph(rng, 8)
         pairs = sample_pairs(rng, g.n, min(4, g.n * (g.n - 1) // 2))
         o = preprocess(g, pairs)
+        answers = {e: o.query_edge(e) for e in range(1, g.m + 1)}
         for i, p in enumerate(pairs):
             analysis = PairAnalysis(g, p.s, p.t)
             for e in range(1, g.m + 1):
-                lo, up = o.query_edge_for_pair(e, i)
+                lo, up = answers[e][i]
                 if lo is not INFINITY:
                     assert analysis.still_optimal(e, -lo) is True
                     assert analysis.still_optimal(e, -(lo + 1)) is False

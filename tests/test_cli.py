@@ -78,6 +78,15 @@ def test_serve_malformed_request():
     assert r.stdout.count("error unknown-edge") == 2
 
 
+def test_serve_with_no_pairs_answers_blank_lines():
+    # k=0: every valid request is answered by zero records and the blank
+    # line that ends an answer; an invalid one still gets its error line.
+    r = run_cli("serve", G1, str(DATA / "no_pairs.txt"),
+                stdin="edge 1\n2 3\nedge 4\n3 1\n9 9\n")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "\n\nerror unknown-edge\n\nerror unknown-edge\n"
+
+
 def test_serve_empty_session():
     r = run_cli("serve", G1, G1_PAIRS, stdin="")
     assert r.returncode == 0
@@ -191,6 +200,13 @@ def test_bench_small_graph_timings():
 def test_bench_infeasible_size_is_usage_error():
     r = run_cli("bench", "10", "200", "1", "1", "7")
     assert r.returncode == 2
+
+
+def test_bench_without_queries_is_usage_error():
+    r = run_cli("bench", "10", "20", "1", "0", "7")
+    assert r.returncode == 2
+    assert "QUERIES" in r.stderr and "0" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -7,10 +7,24 @@ from hypothesis import strategies as st
 from bptol import DisjointSets
 
 
+def _merge(sets, a, b):
+    """Merge the subsets containing a and b, as the Kruskal scan does with
+    find and join; True if they were distinct."""
+    ra, rb = sets.find(a), sets.find(b)
+    if ra == rb:
+        return False
+    sets.join(ra, rb)
+    return True
+
+
+def _subset_count(sets, size):
+    return len({sets.find(x) for x in range(size)})
+
+
 def test_find_singletons_and_count():
     s = DisjointSets(3)
     assert [s.find(x) for x in range(3)] == [0, 1, 2]
-    assert s.count == 3
+    assert _subset_count(s, 3) == 3
     with pytest.raises(IndexError):
         s.find(3)
 
@@ -19,7 +33,7 @@ def test_join_canonical_only():
     s = DisjointSets(4)
     merged = s.join(s.find(1), s.find(2))
     assert s.find(1) == s.find(2) == merged
-    assert s.count == 3
+    assert _subset_count(s, 4) == 3
     with pytest.raises(ValueError):
         s.join(s.find(1), s.find(1))          # same subset
     non_canonical = 1 if s.find(1) == 2 else 2
@@ -32,13 +46,7 @@ def test_join_transitivity():
     s.join(s.find(1), s.find(2))
     s.join(s.find(2), s.find(3))
     assert s.find(1) == s.find(3)
-    assert s.count == 2  # {0} and {1, 2, 3}
-
-
-def test_union_convenience():
-    s = DisjointSets(3)
-    assert s.union(1, 2) is True
-    assert s.union(1, 2) is False
+    assert _subset_count(s, 4) == 2  # {0} and {1, 2, 3}
 
 
 class NaivePartition:
@@ -81,13 +89,13 @@ def test_randomized_equivalence_with_naive_partition():
             slow.create(x)
         elif move < 0.7:
             a, b = rng.choice(elements), rng.choice(elements)
-            assert fast.union(a, b) == slow.union(a, b)
+            assert _merge(fast, a, b) == slow.union(a, b)
         else:
             a, b = rng.choice(elements), rng.choice(elements)
             assert (fast.find(a) == fast.find(b)) == slow.same(a, b)
         if op % 997 == 0:
-            assert fast.count == len(slow.sets) + size - len(elements)
-    assert fast.count == len(slow.sets) + size - len(elements)
+            assert _subset_count(fast, size) == len(slow.sets) + size - len(elements)
+    assert _subset_count(fast, size) == len(slow.sets) + size - len(elements)
 
 
 @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))
@@ -98,8 +106,8 @@ def test_partition_matches_naive_on_any_sequence(ops):
     for x in range(20):
         slow.create(x)
     for a, b in ops:
-        assert fast.union(a, b) == slow.union(a, b)
+        assert _merge(fast, a, b) == slow.union(a, b)
     for a in range(20):
         for b in range(a + 1, 20):
             assert (fast.find(a) == fast.find(b)) == slow.same(a, b)
-    assert fast.count == len(slow.sets)
+    assert _subset_count(fast, 20) == len(slow.sets)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bptol import (CapacitatedGraph, ParseError, QueryPair, capacity_ranks,
                    diamond_example, parse_graph, parse_pairs, preprocess,
-                   random_connected_graph, serialize_graph, single_edge_example,
-                   triangle_example, validate)
+                   random_benchmark_graph, random_connected_graph, serialize_graph,
+                   single_edge_example, triangle_example, validate)
 from bptol.graphs import MAX_VERTICES
 
 from naive import naive_unreached
@@ -290,3 +290,18 @@ def test_round_trip_property(data):
     n, rows = data
     g = CapacitatedGraph(n, [(u, v, c) for (u, v), c in rows])
     assert parse_graph(serialize_graph(g)) == g
+
+
+def test_benchmark_graph_favours_no_vertex_ids():
+    # Uniform chords put their lower endpoint in the first quarter of ids
+    # with probability 1 - (3/4)^2 = 0.4375, attachment-tree edges with
+    # about 0.60; together about 0.47.  Keeping the smallest candidate keys
+    # instead pushed the share to 0.82.
+    n, m = 20_000, 100_000
+    g = random_benchmark_graph(n, m, seed=7)
+    assert (g.n, g.m) == (n, m)
+    assert validate(g) is None  # connected, simple, distinct capacities
+    lower = np.minimum(g.edge_u[1:], g.edge_v[1:])
+    assert (lower <= n // 4).mean() < 0.5
+    # a complete graph needs every pair off the tree as a chord
+    assert validate(random_benchmark_graph(6, 15, seed=7)) is None

@@ -3,11 +3,11 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from bptol.graphs import (
     CapacitatedGraph,
+    QueryPair,
     diamond_example,
     parse_pairs,
     single_edge_example,
@@ -23,18 +23,21 @@ INF = INFINITY
 
 
 def test_preprocess_contexts():
+    # Each pair's bottleneck edge e* is stored once, as a read-only column.
     o = preprocess(diamond_example(), [(1, 4)])
-    assert o.contexts[0].bottleneck_edge == 3
-    assert o.contexts[0].bottleneck_value == 6
+    assert o.pairs == (QueryPair(1, 4),)
+    assert o.bottleneck_edges.tolist() == [3]
     assert o.bottleneck_value(0) == 6
     assert type(o.bottleneck_value(0)) is int  # an int64 would wrap in arithmetic
+    with pytest.raises(ValueError):
+        o.bottleneck_edges[0] = 1
 
     o = preprocess(triangle_example(), [(1, 3)])
-    assert o.contexts[0].bottleneck_edge == 2
-    assert o.contexts[0].bottleneck_value == 3
+    assert o.bottleneck_edges.tolist() == [2]
+    assert o.bottleneck_value(0) == 3
 
     o = preprocess(single_edge_example(), [(1, 2)])
-    assert o.contexts[0].bottleneck_edge == 1
+    assert o.bottleneck_edges.tolist() == [1]
     assert o.bottleneck_value(0) == 7
 
     o = preprocess(triangle_example(), [(1, 2)])
@@ -44,17 +47,17 @@ def test_preprocess_contexts():
 def test_triangle_queries():
     # Pair (1,3): optimal path 1-2-3 with bottleneck edge 2 (capacity 3).
     o = preprocess(triangle_example(), [(1, 3)])
-    assert o.query_edge_for_pair(2, 0) == (2, INF)
-    assert o.query_edge_for_pair(3, 0) == (INF, 2)
-    assert o.query_edge_for_pair(1, 0) == (4, INF)
+    assert o.query_edge(2) == [(2, INF)]
+    assert o.query_edge(3) == [(INF, 2)]
+    assert o.query_edge(1) == [(4, INF)]
 
 
 def test_diamond_queries():
     # Pair (1,4): optimal path 1-2-3-4 with bottleneck edge 3 (capacity 6).
     o = preprocess(diamond_example(), [(1, 4)])
-    assert o.query_edge_for_pair(4, 0) == (INF, INF)
-    assert o.query_edge_for_pair(5, 0) == (INF, 4)
-    assert o.query_edge_for_pair(3, 0) == (4, INF)
+    assert o.query_edge(4) == [(INF, INF)]
+    assert o.query_edge(5) == [(INF, 4)]
+    assert o.query_edge(3) == [(4, INF)]
 
 
 def test_query_edge_maps_over_pairs():
@@ -77,13 +80,15 @@ def test_query_edge_maps_over_pairs():
 def test_out_of_range_arguments():
     o = preprocess(triangle_example(), [(1, 3)])
     with pytest.raises(IndexError):
-        o.query_edge_for_pair(0, 0)
+        o.query_edge(0)
     with pytest.raises(IndexError):
-        o.query_edge_for_pair(4, 0)
+        o.query_edge(4)
     with pytest.raises(IndexError):
-        o.query_edge_for_pair(1, 1)
+        o.finite_entries(4)
     with pytest.raises(IndexError):
-        o.query_edge_for_pair(1, -1)
+        o.bottleneck_value(1)
+    with pytest.raises(IndexError):
+        o.bottleneck_value(-1)
     with pytest.raises(IndexError):
         o.bottleneck_value(5)
 
@@ -114,20 +119,23 @@ def test_query_purity():
 def _check_kernel(o, g, pairs):
     expected = [naive_tolerances(g, o.tree, p.s, p.t) for p in pairs]
     for e in range(1, g.m + 1):
-        lows, ups, low_fin, up_fin = o.query_edge_arrays(e)
-        assert lows.dtype == ups.dtype == np.uint64
-        assert low_fin.dtype == up_fin.dtype == bool
-        assert lows.shape == ups.shape == low_fin.shape == up_fin.shape == (len(pairs),)
         want = [per_edge[e] for per_edge in expected]
-        assert low_fin.tolist() == [lo is not INF for lo, _ in want]
-        assert up_fin.tolist() == [up is not INF for _, up in want]
-        assert lows.tolist() == [0 if lo is INF else lo for lo, _ in want]
-        assert ups.tolist() == [0 if up is INF else up for _, up in want]
+        got = o.query_edge(e)
+        assert got == want
+        # finite_entries lists exactly the pairs with a finite side, in pair
+        # order, as Python ints: a finite 0 is listed, +inf never is.
+        listed = list(o.finite_entries(e))
+        assert listed == [(i, lo, up) for i, (lo, up) in enumerate(want)
+                          if lo is not INF or up is not INF]
+        for _, lo, up in listed:
+            assert (lo is INF) != (up is INF)
+            assert type(up if lo is INF else lo) is int
 
 
 def test_batch_matches_scalar():
-    # The uint64 kernel (values plus finite masks) against the naive closed
-    # form, which walks explicit tree paths over definition-level U/L tables.
+    # The uint64 kernel, through query_edge and finite_entries, against the
+    # naive closed form, which walks explicit tree paths over
+    # definition-level U/L tables.
     # These instances reach n=12 with dense edges, beyond what PairAnalysis
     # can enumerate.
     rng = random.Random(314)
@@ -138,8 +146,8 @@ def test_batch_matches_scalar():
 
 
 def test_batch_matches_scalar_with_tied_capacities():
-    # Coarsened capacities tie often, so finite tolerances of 0 occur; only
-    # the masks tell them from +inf.
+    # Coarsened capacities tie often, so finite tolerances of 0 occur and
+    # must stay apart from +inf.
     rng = random.Random(2718)
     zeros = 0
     for _ in range(60):
@@ -150,9 +158,7 @@ def test_batch_matches_scalar_with_tied_capacities():
         o = preprocess(g, pairs)
         _check_kernel(o, g, pairs)
         for e in g.edge_ids():
-            answer = o.query_edge_arrays(e)
-            zeros += int(((answer.lower == 0) & answer.lower_finite).sum()
-                         + ((answer.upper == 0) & answer.upper_finite).sum())
+            zeros += sum(x == 0 for answer in o.query_edge(e) for x in answer)
     assert zeros > 0
 
 
@@ -165,10 +171,9 @@ def test_zero_tolerance_under_ties_is_finite():
     assert o.query_edge(2) == [(INF, 0)]
     assert o.query_edge(3) == [(0, INF)]
     assert type(o.query_edge(2)[0].upper) is int
-    assert o.query_edge_for_pair(3, 0) == (0, INF)
-    answer = o.query_edge_arrays(3)
-    assert answer.lower.tolist() == [0] and answer.lower_finite.tolist() == [True]
-    assert answer.upper_finite.tolist() == [False]
+    assert list(o.finite_entries(1)) == []
+    assert list(o.finite_entries(2)) == [(0, INF, 0)]
+    assert list(o.finite_entries(3)) == [(0, 0, INF)]
 
 
 def test_exact_near_2_62():
@@ -179,15 +184,11 @@ def test_exact_near_2_62():
     assert o.query_edge(1) == [(2, INF)]
     assert o.query_edge(2) == [(1, INF)]
     assert o.query_edge(3) == [(INF, 1)]
-    lows, ups, low_fin, up_fin = o.query_edge_arrays(2)
-    assert (lows.tolist(), ups.tolist()) == ([1], [0])
-    assert (low_fin.tolist(), up_fin.tolist()) == ([True], [False])
-    lows, ups, low_fin, up_fin = o.query_edge_arrays(3)
-    assert (lows.tolist(), ups.tolist()) == ([0], [1])
-    assert (low_fin.tolist(), up_fin.tolist()) == ([False], [True])
+    assert list(o.finite_entries(2)) == [(0, 1, INF)]
+    assert list(o.finite_entries(3)) == [(0, INF, 1)]
     analysis = PairAnalysis(g, 1, 3)
     for e in (1, 2, 3):
-        assert o.query_edge_for_pair(e, 0) == analysis.tolerances(e)
+        assert o.query_edge(e) == [analysis.tolerances(e)]
 
 
 def test_exact_over_full_int64_range():
@@ -200,12 +201,10 @@ def test_exact_over_full_int64_range():
     for e in (1, 2, 3):
         (lo, up), = o.query_edge(e)
         assert type(lo if up is INF else up) is int
-    lows, ups, low_fin, up_fin = o.query_edge_arrays(3)
-    assert (lows.tolist(), ups.tolist()) == ([0], [18446744073709551614])
-    assert (low_fin.tolist(), up_fin.tolist()) == ([False], [True])
+    assert list(o.finite_entries(3)) == [(0, INF, 18446744073709551614)]
     analysis = PairAnalysis(g, 1, 3)
     for e in (1, 2, 3):
-        assert o.query_edge_for_pair(e, 0) == analysis.tolerances(e)
+        assert o.query_edge(e) == [analysis.tolerances(e)]
 
 
 def test_parallel_queries_agree_with_serial():
@@ -221,12 +220,13 @@ def test_parallel_queries_agree_with_serial():
 
 
 def _assert_matches_reference(g, pairs, o):
+    answers = {e: o.query_edge(e) for e in range(1, g.m + 1)}
     checked = 0
     for i, p in enumerate(pairs):
         analysis = PairAnalysis(g, p.s, p.t)
         for e in range(1, g.m + 1):
             expected = analysis.tolerances(e)
-            got = o.query_edge_for_pair(e, i)
+            got = answers[e][i]
             assert got == expected, (g.n, g.m, p.s, p.t, e, got, expected)
             lo, up = got
             if lo is not INF:
@@ -258,10 +258,11 @@ def test_matches_reference_exhaustively_on_small_graphs():
         for g in all_connected_graphs(n, rng):
             pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
             o = preprocess(g, pairs)
+            answers = {e: o.query_edge(e) for e in range(1, g.m + 1)}
             for i, (s, t) in enumerate(pairs):
                 analysis = PairAnalysis(g, s, t)
                 for e in range(1, g.m + 1):
-                    assert o.query_edge_for_pair(e, i) == analysis.tolerances(e)
+                    assert answers[e][i] == analysis.tolerances(e)
                     total += 1
     assert total > 40000
 

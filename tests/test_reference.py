@@ -122,7 +122,7 @@ def test_off_path_edge_capped_by_its_detours():
     assert brute_tolerances(g, 1, 4, 4) == (INF, INF)
     # Three-way agreement with the fast oracle.
     o = preprocess(g, [(1, 4)])
-    assert o.query_edge_for_pair(4, 0) == (INF, INF)
+    assert o.query_edge(4) == [(INF, INF)]
     analysis = PairAnalysis(g, 1, 4)
     assert analysis.tolerances(4) == (INF, INF)
 
@@ -145,7 +145,7 @@ def test_classification_depends_on_witness_path():
     assert brute_tolerances(FORK, 1, 4, 3, witness=(1, 2, 3, 4)) == (1, INF)
     # The fast oracle answers for the same pinned witness as the default.
     o = preprocess(FORK, [(1, 4)])
-    assert o.query_edge_for_pair(3, 0) == (INF, INF)
+    assert o.query_edge(3) == [(INF, INF)]
 
 
 def _optimal_witnesses(g, s, t):

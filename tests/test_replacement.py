@@ -30,6 +30,7 @@ from naive import (
     spanning_tree_edge_sets,
     tree_capacity_sum,
     tree_parents,
+    tree_path_edges,
 )
 
 
@@ -180,14 +181,13 @@ def test_lower_entries_point_at_covering_edges():
     for _ in range(50):
         g = random_connected_graph(rng, 12)
         tree, tables = _tables(g)
-        idx = build_index(tree, g, rank=capacity_ranks(g))
         for e in tree.edge_ids:
             rep = int(tables.L[e])
             if rep == 0:
                 continue
             assert rep not in tree
             u, v = g.endpoints(rep)
-            assert idx.edge_on_path(e, u, v)
+            assert e in tree_path_edges(g, tree.edge_ids, u, v)
 
 
 def test_tables_span_several_batches():

@@ -25,9 +25,16 @@ from naive import (
 )
 
 
-def _indexed(g, root=1):
+def _indexed(g):
     tree = build_max_spanning_tree(g)
-    return tree, build_index(tree, g, root=root)
+    return tree, build_index(tree, g, capacity_ranks(g))
+
+
+def _on_path(idx, e, s, t):
+    """The query kernel's on-path rule for one tree edge and one pair: one of
+    s, t lies below e's child endpoint and the other does not."""
+    below = idx.ancestor_mask(idx.tree_edge_child[e], idx.tin_of(np.array([s, t])))
+    return bool(below[0] != below[1])
 
 
 def test_depths_on_diamond_chain():
@@ -42,14 +49,6 @@ def test_depths_on_single_edge():
     _, idx = _indexed(g)
     assert idx.depth(1) == 0
     assert idx.depth(2) == 1
-
-
-def test_depths_triangle_rooted_at_two():
-    g = triangle_example()
-    _, idx = _indexed(g, root=2)
-    assert idx.depth(2) == 0
-    assert idx.depth(1) == 1
-    assert idx.depth(3) == 1
 
 
 def test_root_depth_is_zero():
@@ -78,25 +77,17 @@ def test_path_min_edge_rejects_equal_endpoints():
         idx.path_min_edge(2, 2)
 
 
-def test_edge_on_path_examples():
+def test_on_path_examples():
     g = diamond_example()
     tree, idx = _indexed(g)
-    assert idx.edge_on_path(2, 1, 4) is True
-    assert idx.edge_on_path(3, 1, 3) is False
+    assert _on_path(idx, 2, 1, 4) is True
+    assert _on_path(idx, 3, 1, 3) is False
     # An edge always lies on the path between its own endpoints.
     for e in tree.edge_ids:
         u, v = g.endpoints(e)
-        assert idx.edge_on_path(e, u, v) is True
-
-
-def test_edge_on_path_rejects_non_tree_edge():
-    g = diamond_example()
-    tree, idx = _indexed(g)
-    assert 4 not in tree
-    with pytest.raises(ValueError):
-        idx.edge_on_path(4, 1, 4)
-    with pytest.raises(ValueError):
-        idx.edge_on_path(2, 3, 3)
+        assert _on_path(idx, e, u, v) is True
+    # Only tree edges are oriented; the rule is never asked of edge 4.
+    assert 4 not in tree and idx.tree_edge_child[4] == 0
 
 
 def _random_tree_graph(rng, max_n):
@@ -120,10 +111,8 @@ def test_matches_naive_answers_on_random_trees():
     rng = random.Random(4171)
     for _ in range(120):
         g = _random_tree_graph(rng, 64)
-        tree = build_max_spanning_tree(g)
-        root = rng.randint(1, g.n)
-        idx = build_index(tree, g, root=root)
-        _, _, depth = tree_parents(g, tree.edge_ids, root)
+        tree, idx = _indexed(g)
+        _, _, depth = tree_parents(g, tree.edge_ids, 1)
         verts = range(1, g.n + 1)
         for x in verts:
             assert idx.depth(x) == depth[x]
@@ -137,7 +126,7 @@ def test_matches_naive_answers_on_random_trees():
             assert idx.path_min_edge(t, s) == expected
             path = tree_path_edges(g, tree.edge_ids, s, t)
             for e in tree.edge_ids:
-                assert idx.edge_on_path(e, s, t) == (e in path)
+                assert _on_path(idx, e, s, t) == (e in path)
 
 
 def test_matches_naive_answers_on_random_graphs():
@@ -145,8 +134,7 @@ def test_matches_naive_answers_on_random_graphs():
     rng = random.Random(902)
     for _ in range(60):
         g = random_connected_graph(rng, 24)
-        tree = build_max_spanning_tree(g)
-        idx = build_index(tree, g)
+        tree, idx = _indexed(g)
         for _ in range(20):
             s, t = rng.randint(1, g.n), rng.randint(1, g.n)
             if s != t:
@@ -173,24 +161,20 @@ def test_batch_path_min_matches_scalar():
             assert got[j] == naive_path_min_edge(g, tree.edge_ids, s, t)
 
 
-def test_ancestor_mask_matches_edge_on_path():
+def test_ancestor_mask_matches_tree_paths():
+    # The kernel's form: one tree edge against the tins of many pairs at once.
     rng = random.Random(79)
     g = random_connected_graph(rng, 32)
-    tree = build_max_spanning_tree(g)
-    idx = build_index(tree, g)
-    for _ in range(50):
-        s, t = rng.randint(1, g.n), rng.randint(1, g.n)
-        if s == t:
-            continue
-        s_tin = idx.tin_of(s)
-        t_tin = idx.tin_of(t)
-        for e in tree.edge_ids:
-            child = int(idx.tree_edge_child[e])
-            on = bool(
-                idx.ancestor_mask(child, np.array([s_tin]))[0]
-                != idx.ancestor_mask(child, np.array([t_tin]))[0]
-            )
-            assert on == idx.edge_on_path(e, s, t)
+    tree, idx = _indexed(g)
+    pairs = [(s, t) for s, t in ((rng.randint(1, g.n), rng.randint(1, g.n))
+                                 for _ in range(50)) if s != t]
+    s_tin = idx.tin_of(np.array([s for s, _ in pairs]))
+    t_tin = idx.tin_of(np.array([t for _, t in pairs]))
+    paths = [tree_path_edges(g, tree.edge_ids, s, t) for s, t in pairs]
+    for e in tree.edge_ids:
+        child = idx.tree_edge_child[e]
+        on = idx.ancestor_mask(child, s_tin) != idx.ancestor_mask(child, t_tin)
+        assert on.tolist() == [e in path for path in paths]
 
 
 def _shaped_graph(rng, n, shape, chords):
