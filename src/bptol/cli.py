@@ -22,6 +22,7 @@ errors), 2 I/O or usage errors.  Tolerances print as integers or lowercase
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -69,19 +70,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _pair_records(oracle: ToleranceOracle) -> tuple[list[str], list[str]]:
-    """Each pair's "i s t " prefix and its all-inf record."""
+    """Each pair's "i s t " prefix and its all-inf record, built once for the
+    oracle last asked about; callers only read them."""
     prefixes = [f"{i} {p.s} {p.t} " for i, p in enumerate(oracle.pairs, start=1)]
     return prefixes, [p + "inf inf" for p in prefixes]
 
 
-def _answer_lines(oracle: ToleranceOracle, e: int,
-                  records: tuple[list[str], list[str]] | None = None) -> list[str]:
-    """The k records answering edge e.  ``records`` is ``_pair_records(oracle)``,
-    which a caller answering many edges builds once; without it they are
-    built per call.  Only pairs with a finite side are formatted, the rest are
-    copied from the all-inf records."""
-    prefixes, unbounded = records or _pair_records(oracle)
+def _answer_lines(oracle: ToleranceOracle, e: int) -> list[str]:
+    """The k records answering edge e.  Only pairs with a finite side are
+    formatted, the rest are copied from the all-inf records."""
+    prefixes, unbounded = _pair_records(oracle)
     lines = unbounded.copy()
     for i, lo, up in oracle.finite_entries(e):
         lines[i] = f"{prefixes[i]}{lo} {up}"  # INFINITY prints as "inf"
@@ -112,7 +112,6 @@ def cmd_serve(args) -> int:
     g = _load_validated(args.graph, args.break_ties)
     pairs = parse_pairs(_read_text(args.pairs), g.n)
     oracle = preprocess(g, pairs)
-    records = _pair_records(oracle)
     out = sys.stdout
     for line in sys.stdin:
         if not line.strip():
@@ -121,7 +120,7 @@ def cmd_serve(args) -> int:
         if e is None:
             out.write("error unknown-edge\n")
         else:
-            lines = _answer_lines(oracle, e, records)
+            lines = _answer_lines(oracle, e)
             lines += ("", "")  # each answer ends with a blank line
             out.write("\n".join(lines))
         out.flush()
@@ -133,10 +132,9 @@ def cmd_all(args) -> int:
     pairs = parse_pairs(_read_text(args.pairs), g.n)
     oracle = preprocess(g, pairs)
     out = sys.stdout
-    records = _pair_records(oracle)
     out.write(f"{g.n} {g.m} {len(pairs)}\n")
     for e in g.edge_ids():
-        lines = _answer_lines(oracle, e, records)
+        lines = _answer_lines(oracle, e)
         lines.append("")
         out.write("\n".join(lines))
     return EXIT_OK
@@ -188,6 +186,8 @@ def cmd_verify(args) -> int:
         args.pos_instances if args.pos_instances is not None else VERIFY_DEFAULTS[1])
     seed = args.seed if args.seed is not None else (
         args.pos_seed if args.pos_seed is not None else VERIFY_DEFAULTS[2])
+    if instances < 1:
+        raise ValueError(f"INSTANCES must be at least 1, got {instances}")
     rng = random.Random(seed)
     total = 0
     for index in range(instances):
@@ -217,6 +217,8 @@ def cmd_bench(args) -> int:
     queries = args.pos_queries if args.pos_queries is not None else BENCH_DEFAULTS[3]
     seed = args.seed if args.seed is not None else (
         args.pos_seed if args.pos_seed is not None else BENCH_DEFAULTS[4])
+    if k < 0:
+        raise ValueError(f"K must be nonnegative, got {k}")
     if queries < 1:
         raise ValueError(f"QUERIES must be at least 1, got {queries}")
 
@@ -237,11 +239,10 @@ def cmd_bench(args) -> int:
     preprocess_seconds = time.perf_counter() - t0
 
     edge_stream = random_query_edges(m, queries, seed ^ 0xBE7C)
-    records = _pair_records(oracle)
     times = []
     for e in edge_stream.tolist():
         t0 = time.perf_counter()
-        _answer_lines(oracle, e, records)
+        _answer_lines(oracle, e)
         times.append(time.perf_counter() - t0)
     times.sort()
     mean = sum(times) / len(times)

@@ -6,11 +6,16 @@ stage reads directly, plus its edge ids in capacity order, sorted once; its
 accessors return Python ints, because int64 arithmetic wraps silently.  A
 graph is only a container here — :func:`validate` decides whether it
 satisfies the contract the rest of the library relies on (simple, connected,
-pairwise-distinct capacities).  Parsing and validation work on whole columns.
+pairwise-distinct capacities).  Validation works on whole columns.  Graph and
+pairs files share one reader: np.loadtxt converts their lines in bulk, and
+only when it refuses them does a scan with int() decide line by line what is
+accepted, naming the first bad line.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -137,36 +142,12 @@ class Violation:
 def parse_graph(text: str | bytes) -> CapacitatedGraph:
     """Parse the graph text format: "n m" header, then m lines "u v c".
 
-    Rejects structural defects visible line-by-line (bad tokens, out-of-range
-    vertex ids, capacities outside int64, repeated endpoint pairs), naming
-    the first bad line.  Connectivity and capacity injectivity are checked
-    later by :func:`validate`.  The edge lines are converted in bulk; only
-    when that fails are they scanned one by one to find the line to report.
+    Rejects line-level defects (bad tokens, out-of-range vertex ids,
+    capacities outside int64, repeated endpoint pairs), naming the first bad
+    line; :func:`validate` checks connectivity and capacity injectivity.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty input, expected 'n m' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(1, f"expected 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(1, f"non-integer header {lines[0]!r}") from None
-    if n < 1:
-        raise ParseError(1, f"vertex count must be positive, got {n}")
-    if n > MAX_VERTICES:
-        raise ParseError(1, f"vertex count {n} above {MAX_VERTICES}")
-    if m < 0:
-        raise ParseError(1, f"edge count must be nonnegative, got {m}")
-    if len(lines) < m + 1:
-        raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {len(lines) - 1}")
-    body = lines[1:m + 1]
-    rows, error = _bulk_rows(body, n), None
-    if rows is None:
-        rows, error = _scan_rows(body, n)
+    lines, (n, m) = _header(text, "n m", "edge")
+    rows, error = _rows(lines, m, n, "u v c")
     g = CapacitatedGraph(n, rows)
     repeat = _first_parallel(g)  # among the rows before the first bad line
     if repeat is not None:
@@ -175,44 +156,7 @@ def parse_graph(text: str | bytes) -> CapacitatedGraph:
         raise ParseError(e + 1, f"parallel edge {u}-{v} (first on line {first + 1})")
     if error is not None:
         raise error
-    for i in range(m + 1, len(lines)):
-        if lines[i].strip():
-            raise ParseError(i + 1, f"unexpected trailing content {lines[i]!r}")
     return g
-
-
-def _bulk_rows(body: list[str], n: int) -> np.ndarray | None:
-    """The edge lines as an (m, 3) int64 array, or None if any line has a
-    defect that _scan_rows reports.  np.array converts each token with
-    int(), so both paths accept the same spellings."""
-    if {*map(len, map(str.split, body))} - {3}:
-        return None
-    try:
-        rows = np.array(" ".join(body).split(), dtype=np.int64).reshape(-1, 3)
-    except (ValueError, OverflowError):
-        return None
-    return rows if ((rows[:, :2] >= 1) & (rows[:, :2] <= n)).all() else None
-
-
-def _scan_rows(body: list[str], n: int) -> tuple[list, ParseError | None]:
-    """The rows before the first line with a defect, and that line's error."""
-    rows = []
-    for line_no, line in enumerate(body, start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            return rows, ParseError(line_no, f"expected 'u v c', got {line!r}")
-        try:
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            return rows, ParseError(line_no, f"non-integer field in {line!r}")
-        if not (1 <= u <= n):
-            return rows, ParseError(line_no, f"vertex id {u} out of range 1..{n}")
-        if not (1 <= v <= n):
-            return rows, ParseError(line_no, f"vertex id {v} out of range 1..{n}")
-        if not (-(2**63) <= c < 2**63):
-            return rows, ParseError(line_no, f"capacity {c} outside signed 64-bit range")
-        rows.append((u, v, c))
-    return rows, None
 
 
 def serialize_graph(g: CapacitatedGraph) -> str:
@@ -225,37 +169,82 @@ def serialize_graph(g: CapacitatedGraph) -> str:
 def parse_pairs(text: str | bytes, n: int) -> list[QueryPair]:
     """Parse the pairs format: "k" header, then k lines "s t".
 
-    s = t and out-of-range ids are rejected here (no path semantics exist for
-    a pair with equal endpoints).
+    Follows the line rules of :func:`parse_graph`.  s = t is rejected here
+    (no path semantics exist for a pair with equal endpoints).
     """
+    lines, (k,) = _header(text, "k", "pair")
+    rows, error = _rows(lines, k, n, "s t")
+    same = np.flatnonzero(rows[:, 0] == rows[:, 1])  # in the rows before the first bad line
+    if len(same):
+        raise ParseError(int(same[0]) + 2, f"source equals target ({rows[same[0], 0]})")
+    if error is not None:
+        raise error
+    return [*map(QueryPair, *rows.T.tolist())]
+
+
+def _header(text: str | bytes, names: str, noun: str) -> tuple[list[str], list[int]]:
+    """The lines of a graph or pairs file and the integers of its first line,
+    whose fields ``names`` names: vertex counts, then the count of ``noun``
+    lines that follow it."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     lines = text.splitlines()
     if not lines:
-        raise ParseError(1, "empty input, expected 'k' header")
+        raise ParseError(1, f"empty input, expected {names!r} header")
+    fields = lines[0].split()
+    if len(fields) != len(names.split()):
+        raise ParseError(1, f"expected {names!r}, got {lines[0]!r}")
     try:
-        k = int(lines[0].strip())
+        *sizes, count = map(int, fields)
     except ValueError:
-        raise ParseError(1, f"non-integer pair count {lines[0]!r}") from None
-    if k < 0:
-        raise ParseError(1, f"pair count must be nonnegative, got {k}")
-    if len(lines) < k + 1:
-        raise ParseError(len(lines) + 1, f"expected {k} pair lines, found {len(lines) - 1}")
-    pairs = []
-    for i in range(1, k + 1):
-        parts = lines[i].split()
-        if len(parts) != 2:
-            raise ParseError(i + 1, f"expected 's t', got {lines[i]!r}")
-        try:
-            s, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(i + 1, f"non-integer field in {lines[i]!r}") from None
-        if not (1 <= s <= n) or not (1 <= t <= n):
-            raise ParseError(i + 1, f"vertex id out of range 1..{n} in {lines[i]!r}")
-        if s == t:
-            raise ParseError(i + 1, f"source equals target ({s})")
-        pairs.append(QueryPair(s, t))
-    return pairs
+        raise ParseError(1, f"non-integer header {lines[0]!r}") from None
+    for n in sizes:
+        if n < 1:
+            raise ParseError(1, f"vertex count must be positive, got {n}")
+        if n > MAX_VERTICES:
+            raise ParseError(1, f"vertex count {n} above {MAX_VERTICES}")
+    if count < 0:
+        raise ParseError(1, f"{noun} count must be nonnegative, got {count}")
+    if len(lines) <= count:
+        raise ParseError(len(lines) + 1, f"expected {count} {noun} lines, "
+                                         f"found {len(lines) - 1}")
+    return lines, [*sizes, count]
+
+
+def _rows(lines: list[str], count: int, n: int,
+          fields: str) -> tuple[np.ndarray, ParseError | None]:
+    """Lines 2..count+1 as int64 rows of the fields ``fields`` names, the first
+    two vertex ids in 1..n, and the error of the first bad line (a non-blank
+    one after them counts), if any, with only the rows before it."""
+    body, width = lines[1:count + 1], len(fields.split())
+    extra = next(filter(str.strip, lines[count + 1:]), None)
+    error = None if extra is None else ParseError(
+        lines.index(extra, count + 1) + 1, f"unexpected trailing content {extra!r}")
+    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        if rows.shape == (count, width) and 1 <= rows[:, :2].min() and rows[:, :2].max() <= n:
+            return rows, error
+    rows = []
+    try:
+        for line_no, line in enumerate(body, start=2):
+            parts = line.split()
+            if len(parts) != width:
+                raise ParseError(line_no, f"expected {fields!r}, got {line!r}")
+            try:
+                row = [*map(int, parts)]
+            except ValueError:
+                raise ParseError(line_no, f"non-integer field in {line!r}") from None
+            for u in row[:2]:
+                if not 1 <= u <= n:
+                    raise ParseError(line_no, f"vertex id {u} out of range 1..{n}")
+            for c in row[2:]:
+                if not -(2**63) <= c < 2**63:
+                    raise ParseError(line_no, f"capacity {c} outside signed 64-bit range")
+            rows.append(row)
+    except ParseError as exc:
+        error = exc
+    return np.array(rows, dtype=np.int64).reshape(-1, width), error
 
 
 def validate(g: CapacitatedGraph, *, allow_equal_capacities: bool = False) -> Violation | None:

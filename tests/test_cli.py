@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,6 +118,15 @@ def test_all_bridge_case():
     assert r.stdout == "2 1 1\n1 1 2 inf inf\n"
 
 
+def test_all_rejects_extra_pair_lines(tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1\n1 3\n2 3\n")
+    r = run_cli("all", G1, str(pairs))
+    assert r.returncode == 1
+    assert "line 3: unexpected trailing content '2 3'" in r.stderr
+    assert r.stdout == ""
+
+
 def test_all_with_no_pairs_emits_header_only():
     r = run_cli("all", G1, str(DATA / "no_pairs.txt"))
     assert r.returncode == 0
@@ -207,6 +218,17 @@ def test_bench_without_queries_is_usage_error():
     assert r.returncode == 2
     assert "QUERIES" in r.stderr and "0" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args,name,value", [
+    (("verify", "8", "-3", "1"), "INSTANCES", "-3"),  # would pass with 0 comparisons
+    (("bench", "10", "20", "-2", "5", "7"), "K", "-2"),
+])
+def test_inputs_that_check_nothing_are_usage_errors(args, name, value):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert name in r.stderr and value in r.stderr
+    assert r.stdout == ""
 
 
 def test_unknown_subcommand_is_usage_error():

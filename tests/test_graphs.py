@@ -265,12 +265,85 @@ def test_parse_pairs():
     assert parse_pairs("1\n1 3\n", 3) == [QueryPair(1, 3)]
     assert parse_pairs("2\n1 3\n3 2\n", 3) == [QueryPair(1, 3), QueryPair(3, 2)]
     assert parse_pairs("0\n", 3) == []
+    assert parse_pairs("1\n1 3\n\n \n", 3) == [QueryPair(1, 3)]  # blank trailing lines
     with pytest.raises(ParseError):
         parse_pairs("1\n1 1\n", 3)       # s == t
     with pytest.raises(ParseError):
         parse_pairs("1\n1 9\n", 3)       # out of range
     with pytest.raises(ParseError):
         parse_pairs("x\n", 3)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1\n1 3\n2 3\n", "line 3: unexpected trailing content '2 3'"),
+    ("0\n1 3\n", "line 2: unexpected trailing content '1 3'"),
+    ("1\n1 9\n", "line 2: vertex id 9 out of range 1..3"),
+    # of two defects on different lines, the earlier line wins
+    ("3\n1 3\n2 2\n1 x\n", "line 3: source equals target (2)"),
+    ("3\n1 3\n1 x\n2 2\n", "line 3: non-integer field in '1 x'"),
+])
+def test_parse_pairs_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_pairs(text, 3)
+    assert str(info.value) == message
+
+
+# Tokens int() and np.loadtxt might read differently, and separators that
+# str.split() takes for whitespace (splitlines() also ends a line at \x0b).
+FUZZ_TOKENS = ["0", "9", "-1", "+", "-", "+5", "007", "1_000", "\u0661", "\uff15", "1.0",
+               "1e3", "0x10", "\x00", "2\x00", "9223372036854775807",
+               "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+               "1234567890123456789", "99999999999999999999"]
+FUZZ_SEPARATORS = [" ", "\u3000", "\x0b"]
+
+
+def _fuzz_body(rng, n, count, width):
+    """count lines of width fields, mostly valid, some with a bad token, a
+    wrong field count or no fields, then maybe a trailing line."""
+    lines = []
+    for _ in range(count):
+        fields = [str(rng.randint(1, n)) for _ in range(2)]
+        fields += [rng.choice(["5", "-7", "+5", "007", "-9223372036854775808",
+                               "9223372036854775807", "1234567890123456789"])] * (width - 2)
+        roll = rng.random()
+        if roll < 0.1:
+            fields[rng.randrange(width)] = rng.choice(FUZZ_TOKENS)
+        elif roll < 0.13:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["1"]
+        elif roll < 0.16:
+            fields = []
+        lines.append(rng.choice(FUZZ_SEPARATORS).join(fields))
+    lines += rng.choice([[], [], [""], ["", "1 2"]])
+    return lines
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+def test_bulk_path_reads_like_the_scan(monkeypatch):
+    rng = random.Random(8)
+    texts = []
+    for _ in range(2000):
+        n, m = rng.randint(2, 8), rng.randint(0, 6)
+        texts.append(("\n".join([f"{n} {m}", *_fuzz_body(rng, n, m, 3)]), parse_graph))
+    for _ in range(500):
+        k = rng.randint(0, 6)
+        texts.append(("\n".join([f"{k}", *_fuzz_body(rng, 5, k, 2)]),
+                      lambda text: parse_pairs(text, 5)))
+    bulk = [_outcome(parse, text) for text, parse in texts]
+
+    def refuse(*args, **kwargs):
+        raise ValueError("bulk path refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    for (text, parse), expected in zip(texts, bulk):
+        assert _outcome(parse, text) == expected, repr(text)
+    parsed = sum(not isinstance(outcome, tuple) for outcome in bulk)
+    assert 0.2 * len(texts) < parsed < 0.8 * len(texts)
 
 
 @st.composite
