@@ -34,7 +34,7 @@ from .graphs import (CapacitatedGraph, ParseError, QueryPair, parse_graph,
 from .oracle import ToleranceOracle, preprocess
 from .randgraph import (random_benchmark_graph, random_connected_graph,
                         random_query_edges, sample_pairs)
-from .reference import PairAnalysis
+from .reference import MAX_ENUMERATION_N, PairAnalysis
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -180,12 +180,9 @@ def _verify_one(g: CapacitatedGraph, pairs: list[QueryPair]) -> tuple[int, str |
 
 
 def cmd_verify(args) -> int:
-    max_n = args.max_n if args.max_n is not None else (
-        args.pos_max_n if args.pos_max_n is not None else VERIFY_DEFAULTS[0])
-    instances = args.instances if args.instances is not None else (
-        args.pos_instances if args.pos_instances is not None else VERIFY_DEFAULTS[1])
-    seed = args.seed if args.seed is not None else (
-        args.pos_seed if args.pos_seed is not None else VERIFY_DEFAULTS[2])
+    max_n, instances, seed = args.max_n, args.instances, args.seed
+    if not 2 <= max_n <= MAX_ENUMERATION_N:
+        raise ValueError(f"MAX_N must be in 2..{MAX_ENUMERATION_N}, got {max_n}")
     if instances < 1:
         raise ValueError(f"INSTANCES must be at least 1, got {instances}")
     rng = random.Random(seed)
@@ -211,12 +208,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n = args.pos_n if args.pos_n is not None else BENCH_DEFAULTS[0]
-    m = args.pos_m if args.pos_m is not None else BENCH_DEFAULTS[1]
-    k = args.pos_k if args.pos_k is not None else BENCH_DEFAULTS[2]
-    queries = args.pos_queries if args.pos_queries is not None else BENCH_DEFAULTS[3]
-    seed = args.seed if args.seed is not None else (
-        args.pos_seed if args.pos_seed is not None else BENCH_DEFAULTS[4])
+    n, m, k, queries, seed = args.n, args.m, args.k, args.queries, args.seed
     if k < 0:
         raise ValueError(f"K must be nonnegative, got {k}")
     if queries < 1:
@@ -287,24 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized cross-check against the "
                                       "brute-force reference")
-    p.add_argument("pos_max_n", nargs="?", type=int, default=None,
-                   metavar="MAX_N")
-    p.add_argument("pos_instances", nargs="?", type=int, default=None,
-                   metavar="INSTANCES")
-    p.add_argument("pos_seed", nargs="?", type=int, default=None, metavar="SEED")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name, default in zip(("max_n", "instances", "seed"), VERIFY_DEFAULTS):
+        p.add_argument(name, nargs="?", type=int, default=default, metavar=name.upper())
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="timing report")
-    p.add_argument("pos_n", nargs="?", type=int, default=None, metavar="N")
-    p.add_argument("pos_m", nargs="?", type=int, default=None, metavar="M")
-    p.add_argument("pos_k", nargs="?", type=int, default=None, metavar="K")
-    p.add_argument("pos_queries", nargs="?", type=int, default=None,
-                   metavar="QUERIES")
-    p.add_argument("pos_seed", nargs="?", type=int, default=None, metavar="SEED")
-    p.add_argument("--seed", type=int, default=None)
+    for name, default in zip(("n", "m", "k", "queries", "seed"), BENCH_DEFAULTS):
+        p.add_argument(name, nargs="?", type=int, default=default, metavar=name.upper())
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -3,7 +3,8 @@
 Vertices are numbered 1..n and edges 1..m, matching the text format.  A graph
 is three read-only int64 columns of length m+1 (slot 0 unused) that every
 stage reads directly, plus its edge ids in capacity order, sorted once; its
-accessors return Python ints, because int64 arithmetic wraps silently.  A
+accessors return Python ints, because int64 arithmetic wraps silently, and
+:func:`descending_edges` is the one scan that turns that order into them.  A
 graph is only a container here — :func:`validate` decides whether it
 satisfies the contract the rest of the library relies on (simple, connected,
 pairwise-distinct capacities).  Validation works on whole columns.  Graph and
@@ -17,7 +18,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ EdgeId = int
 
 #: Largest n for which every endpoint key lo*(n+1)+hi fits in int64.
 MAX_VERTICES = math.isqrt(2**63) - 1
+CHUNK = 1 << 13  # edges per batch converted to Python ints or sent to one call
 
 
 class ParseError(ValueError):
@@ -308,6 +310,19 @@ def first_unreached(n: int, us: np.ndarray, vs: np.ndarray) -> int | None:
             label = jumped
     unreached = np.flatnonzero(label[1:] != 1)
     return int(unreached[0]) + 1 if len(unreached) else None
+
+
+def descending_edges(g: CapacitatedGraph,
+                     keep: np.ndarray | None = None) -> Iterator[tuple[int, int, int]]:
+    """(e, u, v) as Python ints in descending (capacity, EdgeId) order, for
+    every edge or those the bool edge column ``keep`` marks.  Converts CHUNK
+    edges at a time: a scan holds no m-length list, and stopping ends it."""
+    order = g.capacity_order[::-1]
+    for lo in range(0, g.m, CHUNK):
+        chunk = order[lo:lo + CHUNK]
+        if keep is not None:
+            chunk = chunk[keep[chunk]]
+        yield from zip(chunk.tolist(), g.edge_u[chunk].tolist(), g.edge_v[chunk].tolist())
 
 
 def capacity_ranks(g: CapacitatedGraph) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Maximum spanning tree via Kruskal over the (capacity, EdgeId) order.
 
 With pairwise-distinct capacities the maximum spanning tree is unique, so the
-result is independent of edge input order.  The descending scan reads the
-graph's ``capacity_order``, which every other capacity comparison in the
-library follows.
+result is independent of edge input order.  The scan,
+``graphs.descending_edges``, follows the ``capacity_order`` that every capacity
+comparison in the library follows, and stops at the (n-1)th tree edge.
 
 The same pass records the merge chain.  Each component keeps its vertices as
 one run; when tree edge f joins components A and B, B's run is appended to
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsu import DisjointSets
-from .graphs import CapacitatedGraph
+from .graphs import CapacitatedGraph, descending_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,34 +48,32 @@ def build_max_spanning_tree(g: CapacitatedGraph) -> SpanningTree:
     """Unique maximum spanning tree of a validated (connected) graph."""
     sets = DisjointSets(g.n + 1)
     find, join = sets.find, sets.join
-    chosen = []
-    needed = g.n - 1
-    edge_u, edge_v = g.edge_u.tolist(), g.edge_v.tolist()
+    missing = g.n - 1  # tree edges not yet found
     # each component's run is first[r] .. last[r] by following succ; via[v]
     # is the tree edge at the junction between v and succ[v]
     first = list(range(g.n + 1))
     last = list(range(g.n + 1))
     succ = [0] * (g.n + 1)
     via = [0] * (g.n + 1)
-    for e in g.capacity_order[::-1].tolist():
-        a, b = find(edge_u[e]), find(edge_v[e])
+    for e, u, v in descending_edges(g):
+        a, b = find(u), find(v)
         if a == b:
             continue
         succ[last[a]] = first[b]
         via[last[a]] = e
         r = join(a, b)
         first[r], last[r] = first[a], last[b]
-        chosen.append(e)
-        if len(chosen) == needed:
+        missing -= 1
+        if not missing:
             break
-    if len(chosen) != needed:
+    if missing:
         raise ValueError("graph is not connected")
     chain = [first[find(1)]]
-    for _ in range(needed):
+    for _ in range(g.n - 1):
         chain.append(succ[chain[-1]])
-    is_tree_edge = np.zeros(g.m + 1, dtype=bool)
-    is_tree_edge[chosen] = True
     junction = np.array([via[v] for v in chain[:-1]], dtype=np.int64)
+    is_tree_edge = np.zeros(g.m + 1, dtype=bool)
+    is_tree_edge[junction] = True  # the n-1 junctions are the tree edges
     chain_arr = np.array(chain, dtype=np.int64)
     for column in (is_tree_edge, chain_arr, junction):
         column.flags.writeable = False

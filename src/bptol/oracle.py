@@ -96,10 +96,7 @@ class ToleranceOracle:
             rep = self.tables.L[e]
             if rep == 0:
                 return iter(())
-            idx = self.index
-            y = idx.tree_edge_child[e]
-            rows = np.flatnonzero(idx.ancestor_mask(y, self._s_tin)
-                                  != idx.ancestor_mask(y, self._t_tin))
+            rows = np.flatnonzero(self.index.on_path(e, self._s_tin, self._t_tin))
             floor = np.minimum(self._estar_cap[rows], self.graph.edge_cap[rep])
             found = (cap_e - floor.view(np.uint64)).tolist()
             return zip(rows.tolist(), found, repeat(INFINITY))

@@ -15,14 +15,15 @@ stands for "no replacement" everywhere.
 
 Capacities are pairwise distinct, so each replacement edge is unique when it
 exists.  U costs one O(1) range-minimum query per non-tree edge, made in
-batches.  L needs no LCA; it is the contraction walk of Tarjan's offline
-path-compression MST verification.  Scan the non-tree edges in decreasing
-capacity order over a union-find of tree vertices whose sets are subtrees
-with every internal edge covered.  For edge (x,y), repeatedly take the
-deeper of the two set tops, assign the current edge to its still-uncovered
-parent edge and join its set to the parent's, until x and y share a set.
-Each tree edge is contracted exactly once, and the scan order is the graph's
-``capacity_order`` reversed, so the scan is near-linear.
+batches of ``graphs.CHUNK``.  L needs no LCA; it is the contraction walk of
+Tarjan's offline path-compression MST verification.  Scan the non-tree edges
+in decreasing capacity order over a union-find of tree vertices whose sets
+are subtrees with every internal edge covered.  For edge (x,y), repeatedly
+take the deeper of the two set tops, assign the current edge to its
+still-uncovered parent edge and join its set to the parent's, until x and y
+share a set.  Each tree edge is contracted exactly once, and the scan is
+``graphs.descending_edges`` over the non-tree edges, so the walk is
+near-linear and holds lists of n entries only.
 """
 from __future__ import annotations
 
@@ -31,11 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsu import DisjointSets
-from .graphs import CapacitatedGraph
+from .graphs import CHUNK, CapacitatedGraph, descending_edges
 from .mst import SpanningTree
 from .tree_index import RootedTreeIndex
-
-_CHUNK = 1 << 13  # non-tree edges per batched tree-index call
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +55,8 @@ def compute_upper_replacements(g: CapacitatedGraph, tree: SpanningTree,
     """
     table = np.zeros(g.m + 1, dtype=np.int64)
     non_tree = np.flatnonzero(~tree.is_tree_edge[1:]) + 1
-    for lo in range(0, len(non_tree), _CHUNK):
-        chunk = non_tree[lo:lo + _CHUNK]
+    for lo in range(0, len(non_tree), CHUNK):
+        chunk = non_tree[lo:lo + CHUNK]
         table[chunk] = idx.path_min_edge_batch(g.edge_u[chunk], g.edge_v[chunk])
     table.flags.writeable = False
     return table
@@ -75,35 +74,33 @@ def compute_lower_replacements(g: CapacitatedGraph, tree: SpanningTree,
     lca(x, y), so its parent edge is on the path: it is assigned and its set
     joins the parent's.
     """
-    table = [0] * (g.m + 1)
-    order = g.capacity_order[::-1]
-    non_tree = order[~tree.is_tree_edge[order]]
-
+    parent_edge = idx.parent_edge
+    # a vertex's parent is the other endpoint of its parent edge
+    parent = (g.edge_u[parent_edge] + g.edge_v[parent_edge]
+              - np.arange(g.n + 1)).tolist()
+    depth = idx.depths.tolist()
+    cover = [0] * (g.n + 1)  # cover[v]: the L entry of v's parent edge
     sets = DisjointSets(g.n + 1)
     top = list(range(g.n + 1))
-    parent = idx.parent
-    parent_edge = idx.parent_edge
-    depth = idx.depth
     find, join = sets.find, sets.join
 
-    for e, x, y in zip(non_tree.tolist(), g.edge_u[non_tree].tolist(),
-                       g.edge_v[non_tree].tolist()):
+    for e, x, y in descending_edges(g, ~tree.is_tree_edge):
         rx, ry = find(x), find(y)
         while rx != ry:
-            if depth(top[rx]) < depth(top[ry]):
+            if depth[top[rx]] < depth[top[ry]]:
                 rx, ry = ry, rx
             v = top[rx]
-            te = parent_edge[v]
-            assert table[te] == 0, "tree edge contracted twice"
-            table[te] = e
+            assert cover[v] == 0, "tree edge contracted twice"
+            cover[v] = e
             rp = find(parent[v])
             new_top = top[rp]
             rx = join(rx, rp)
             top[rx] = new_top
             ry = find(ry)  # ry may have been the parent's set, just joined
-    column = np.array(table, dtype=np.int64)
-    column.flags.writeable = False
-    return column
+    table = np.zeros(g.m + 1, dtype=np.int64)
+    table[parent_edge] = cover  # the root's and slot 0's entries land in slot 0
+    table.flags.writeable = False
+    return table
 
 
 def build_replacement_tables(g: CapacitatedGraph, tree: SpanningTree,

@@ -10,11 +10,12 @@ Cartesian Trees and Range Minimum Queries", ICALP 2009).  One sparse table
 over the junctions, where row j holds the minimum-rank edge of every window
 of 2^j junctions, answers it with two lookups.  No LCA is needed.
 
-One iterative DFS from vertex 1, the root, records parent links, depths and
-each vertex's preorder interval [tin, tout), and orients every tree edge
-child->parent.  Tree edge e lies on the tree path between s and t exactly
-when one of s, t lies in the subtree of e's child endpoint and the other does
-not; ``ancestor_mask`` tests that subtree for many vertices at once.
+One iterative DFS from vertex 1, the root, records one numpy column per
+vertex fact: depth, preorder interval [tin, tout), and ``parent_edge``, the
+tree edge to the parent (0 at the root), whose other endpoint is the parent.
+Tree edge e lies on the tree path between s and t exactly when one of s, t
+lies in the subtree of e's child endpoint, the one whose parent edge is e,
+and the other does not; ``on_path`` tests that for many pairs at once.
 Everything is immutable after construction and safe for concurrent reads.
 
 ``path_min_edge_batch`` takes numpy arrays and is the one implementation;
@@ -29,12 +30,13 @@ from .mst import SpanningTree
 
 
 class RootedTreeIndex:
-    __slots__ = ("n", "rank", "parent", "parent_edge", "tree_edge_child",
-                 "_depth", "_tin", "_tout", "_pos", "_table")
+    __slots__ = ("n", "rank", "parent_edge", "depths", "_graph", "_tin", "_tout",
+                 "_pos", "_table")
 
     def __init__(self, g: CapacitatedGraph, tree: SpanningTree, rank: np.ndarray):
         self.rank = rank
         self.n = g.n
+        self._graph = g
         self._root_tree(g, tree)
         self._build_range_minima(tree)
 
@@ -71,13 +73,8 @@ class RootedTreeIndex:
         tin[preorder] = np.arange(n, dtype=np.int64)
         self._tin = tin
         self._tout = tin + np.array(size, dtype=np.int64)
-        self.parent = parent
-        self.parent_edge = parent_edge
-        self._depth = depth
-        child_of = np.zeros(len(tree.is_tree_edge), dtype=np.int64)
-        children = np.array(preorder[1:], dtype=np.int64)
-        child_of[np.array(parent_edge, dtype=np.int64)[children]] = children
-        self.tree_edge_child = child_of
+        self.parent_edge = np.array(parent_edge, dtype=np.int64)
+        self.depths = np.array(depth, dtype=np.int64)
 
     def _build_range_minima(self, tree: SpanningTree) -> None:
         n = self.n
@@ -122,12 +119,15 @@ class RootedTreeIndex:
 
     def depth(self, x: int) -> int:
         """Distance from the root; O(1)."""
-        return self._depth[x]
+        return int(self.depths[x])
 
-    def ancestor_mask(self, a: int, xs_tin: np.ndarray) -> np.ndarray:
-        """For each precomputed tin[x], whether a is an ancestor of x (every
-        vertex is its own ancestor)."""
-        return (self._tin[a] <= xs_tin) & (xs_tin < self._tout[a])
+    def on_path(self, e: int, s_tin: np.ndarray, t_tin: np.ndarray) -> np.ndarray:
+        """For each pair, given as precomputed tins of s and t, whether tree
+        edge e lies on the tree path s..t."""
+        u, v = self._graph.endpoints(e)
+        child = u if self.parent_edge[u] == e else v
+        lo, hi = self._tin[child], self._tout[child]
+        return ((lo <= s_tin) & (s_tin < hi)) != ((lo <= t_tin) & (t_tin < hi))
 
     def tin_of(self, xs: np.ndarray) -> np.ndarray:
         return self._tin[xs]

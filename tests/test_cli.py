@@ -182,9 +182,16 @@ def test_serve_agrees_with_all_record_for_record():
 
 
 def test_verify_small_run_passes():
-    r = run_cli("verify", "--max-n", "5", "--instances", "25", "--seed", "7")
+    r = run_cli("verify", "5", "25", "7")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "result PASS" in r.stdout
+
+
+def test_verify_takes_no_flag_spellings():
+    # each parameter has one spelling, so no value can land in the wrong slot
+    r = run_cli("verify", "--seed", "7")
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_verify_single_edge_family():
@@ -223,6 +230,7 @@ def test_bench_without_queries_is_usage_error():
 @pytest.mark.parametrize("args,name,value", [
     (("verify", "8", "-3", "1"), "INSTANCES", "-3"),  # would pass with 0 comparisons
     (("bench", "10", "20", "-2", "5", "7"), "K", "-2"),
+    (("verify", "13", "1", "1"), "MAX_N", "13"),  # passed whenever no n=13 was drawn
 ])
 def test_inputs_that_check_nothing_are_usage_errors(args, name, value):
     r = run_cli(*args)

@@ -9,7 +9,7 @@ from bptol import (CapacitatedGraph, ParseError, QueryPair, capacity_ranks,
                    diamond_example, parse_graph, parse_pairs, preprocess,
                    random_benchmark_graph, random_connected_graph, serialize_graph,
                    single_edge_example, triangle_example, validate)
-from bptol.graphs import MAX_VERTICES
+from bptol.graphs import CHUNK, MAX_VERTICES, descending_edges
 
 from naive import naive_unreached
 
@@ -378,3 +378,17 @@ def test_benchmark_graph_favours_no_vertex_ids():
     assert (lower <= n // 4).mean() < 0.5
     # a complete graph needs every pair off the tree as a chord
     assert validate(random_benchmark_graph(6, 15, seed=7)) is None
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_descending_edges_follow_capacity_order(tied):
+    # m crosses a chunk boundary; on the tied graph edge id breaks each tie
+    g = random_benchmark_graph(3000, CHUNK + 2000, seed=11)
+    if tied:
+        caps = g.edge_cap[1:] // 100
+        g = CapacitatedGraph(g.n, np.stack([g.edge_u[1:], g.edge_v[1:], caps], axis=1))
+    expected = sorted(g.edge_ids(), key=lambda e: (g.capacity(e), e), reverse=True)
+    assert expected == g.capacity_order[::-1].tolist()
+    keep = np.random.default_rng(3).random(g.m + 1) < 0.3
+    for mask, edges in ((None, expected), (keep, [e for e in expected if keep[e]])):
+        assert list(descending_edges(g, mask)) == [(e, *g.endpoints(e)) for e in edges]

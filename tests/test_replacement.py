@@ -1,6 +1,7 @@
 """Replacement tables: best swap partners for tree and non-tree edges."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -218,3 +219,23 @@ def test_tables_span_several_batches():
                 lower[te] = f
     assert compute_upper_replacements(g, tree, idx).tolist() == upper
     assert compute_lower_replacements(g, tree, idx).tolist() == lower
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that fn(*args) allocates, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_union_find_scans_hold_no_edge_length_lists():
+    # One list of m Python ints alone takes ~6.9 MB here; what the scans
+    # keep is n-sized, plus the bool and int64 columns they return.
+    g = random_benchmark_graph(10_000, 200_000, seed=5)
+    tree = build_max_spanning_tree(g)
+    idx = build_index(tree, g, rank=capacity_ranks(g))
+    assert _traced_peak(build_max_spanning_tree, g) < 8_000_000
+    assert _traced_peak(compute_lower_replacements, g, tree, idx) < 8_000_000

@@ -31,10 +31,8 @@ def _indexed(g):
 
 
 def _on_path(idx, e, s, t):
-    """The query kernel's on-path rule for one tree edge and one pair: one of
-    s, t lies below e's child endpoint and the other does not."""
-    below = idx.ancestor_mask(idx.tree_edge_child[e], idx.tin_of(np.array([s, t])))
-    return bool(below[0] != below[1])
+    """The query kernel's on-path rule for one tree edge and one pair."""
+    return bool(idx.on_path(e, idx.tin_of(np.array([s])), idx.tin_of(np.array([t])))[0])
 
 
 def test_depths_on_diamond_chain():
@@ -86,8 +84,10 @@ def test_on_path_examples():
     for e in tree.edge_ids:
         u, v = g.endpoints(e)
         assert _on_path(idx, e, u, v) is True
-    # Only tree edges are oriented; the rule is never asked of edge 4.
-    assert 4 not in tree and idx.tree_edge_child[4] == 0
+    # Every tree edge, and no other, is the parent edge of one non-root
+    # vertex; the rule is never asked of edge 4.
+    assert sorted(idx.parent_edge[2:].tolist()) == sorted(tree.edge_ids)
+    assert 4 not in tree
 
 
 def _random_tree_graph(rng, max_n):
@@ -161,7 +161,7 @@ def test_batch_path_min_matches_scalar():
             assert got[j] == naive_path_min_edge(g, tree.edge_ids, s, t)
 
 
-def test_ancestor_mask_matches_tree_paths():
+def test_on_path_matches_tree_paths():
     # The kernel's form: one tree edge against the tins of many pairs at once.
     rng = random.Random(79)
     g = random_connected_graph(rng, 32)
@@ -172,8 +172,7 @@ def test_ancestor_mask_matches_tree_paths():
     t_tin = idx.tin_of(np.array([t for _, t in pairs]))
     paths = [tree_path_edges(g, tree.edge_ids, s, t) for s, t in pairs]
     for e in tree.edge_ids:
-        child = idx.tree_edge_child[e]
-        on = idx.ancestor_mask(child, s_tin) != idx.ancestor_mask(child, t_tin)
+        on = idx.on_path(e, s_tin, t_tin)
         assert on.tolist() == [e in path for path in paths]
 
 
