@@ -10,13 +10,15 @@ Cartesian Trees and Range Minimum Queries", ICALP 2009).  One sparse table
 over the junctions, where row j holds the minimum-rank edge of every window
 of 2^j junctions, answers it with two lookups.  No LCA is needed.
 
-One iterative DFS from vertex 1, the root, records one numpy column per
-vertex fact: depth, preorder interval [tin, tout), and ``parent_edge``, the
-tree edge to the parent (0 at the root), whose other endpoint is the parent.
-Tree edge e lies on the tree path between s and t exactly when one of s, t
-lies in the subtree of e's child endpoint, the one whose parent edge is e,
-and the other does not; ``on_path`` tests that for many pairs at once.
-Everything is immutable after construction and safe for concurrent reads.
+Linking the Euler tours of the tree edges (Tarjan & Vishkin 1985; Henzinger
+& King 1995) roots the tree at vertex 1 with no adjacency list, search or
+sort, and yields one read-only numpy column per vertex fact: depth, preorder
+interval [tin, tout), and ``parent_edge``, the tree edge to the parent (0 at
+the root), whose other endpoint is the parent.  Tree edge e lies on the tree
+path between s and t exactly when one of s, t lies in the subtree of e's
+child endpoint, the one whose parent edge is e, and the other does not;
+``on_path`` tests that for many pairs at once.  Everything is immutable
+after construction and safe for concurrent reads.
 
 ``path_min_edge_batch`` takes numpy arrays and is the one implementation;
 the scalar ``path_min_edge`` calls it.
@@ -43,44 +45,41 @@ class RootedTreeIndex:
     # -- construction -----------------------------------------------------
 
     def _root_tree(self, g: CapacitatedGraph, tree: SpanningTree) -> None:
-        n = g.n
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        tree_edges = np.flatnonzero(tree.is_tree_edge)
-        for e, u, v in zip(tree_edges.tolist(), g.edge_u[tree_edges].tolist(),
-                           g.edge_v[tree_edges].tolist()):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        parent = [0] * (n + 1)
-        parent_edge = [0] * (n + 1)
-        depth = [0] * (n + 1)
-        preorder = []
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            p, d = parent[v], depth[v] + 1
-            for w, e in adj[v]:
-                if w != p:
-                    parent[w] = v
-                    parent_edge[w] = e
-                    depth[w] = d
-                    stack.append(w)
-        # a stack DFS pops every subtree as one contiguous run of preorder
-        size = [1] * (n + 1)
-        for v in reversed(preorder[1:]):
-            size[parent[v]] += size[v]
-        tin = np.zeros(n + 1, dtype=np.int64)
-        tin[preorder] = np.arange(n, dtype=np.int64)
-        self._tin = tin
-        self._tout = tin + np.array(size, dtype=np.int64)
-        self.parent_edge = np.array(parent_edge, dtype=np.int64)
-        self.depths = np.array(depth, dtype=np.int64)
+        n, arcs, edges = g.n, 2 * (g.n - 1), tree.junction
+        # arc 2i runs along edges[i] from edge_u to edge_v, arc 2i+1 back
+        heads = np.column_stack((g.edge_v[edges], g.edge_u[edges])).ravel()
+        after = [a ^ 1 for a in range(arcs)]  # each edge alone is a 2-cycle
+        into = [-1] * (n + 1)
+        for a, w in enumerate(heads.tolist()):
+            if (b := into[w]) >= 0:  # swapping successors of arcs into w joins tours
+                after[a], after[b] = after[b], after[a]
+            into[w] = a
+        tour = [after[into[1]]] if arcs else []  # the first arc out of the root
+        for _ in range(arcs - 1):
+            tour.append(after[tour[-1]])
+        order = np.array(tour, dtype=np.int64)
+        pos = np.empty(arcs, dtype=np.int64)
+        pos[order] = np.arange(arcs, dtype=np.int64)
+        # the k-th down arc (parent to child), at tour position p, precedes its
+        # reverse by 2 * size - 1; its child has preorder k, depth k - (p + 1 - k)
+        p = np.flatnonzero(pos[order] < pos[order ^ 1])
+        down = order[p]
+        child = heads[down]
+        k = np.arange(1, n, dtype=np.int64)
+        columns = np.zeros((4, n + 1), dtype=np.int64)
+        parent_edge, depths, tin, tout = columns
+        parent_edge[child] = edges[down >> 1]
+        depths[child] = 2 * k - p - 1
+        tin[child] = k
+        tout[child] = k + (pos[down ^ 1] - p + 1) // 2
+        tout[1] = n
+        columns.flags.writeable = False
+        self.parent_edge, self.depths, self._tin, self._tout = columns
 
     def _build_range_minima(self, tree: SpanningTree) -> None:
         n = self.n
         pos = np.zeros(n + 1, dtype=np.int64)
         pos[tree.chain] = np.arange(n, dtype=np.int64)
-        self._pos = pos
         rank = self.rank
         # a trailing edge-0 sentinel (highest rank) keeps every lookup of an
         # empty range in bounds
@@ -91,7 +90,8 @@ class RootedTreeIndex:
             a = table[j - 1, :-half]
             b = table[j - 1, half:]
             table[j, :-half] = np.where(rank[a] <= rank[b], a, b)
-        self._table = table
+        pos.flags.writeable = table.flags.writeable = False
+        self._pos, self._table = pos, table
 
     # -- queries -------------------------------------------------------------
 

@@ -133,6 +133,19 @@ def test_all_with_no_pairs_emits_header_only():
     assert r.stdout == "3 3 0\n"
 
 
+def test_one_vertex_graph_has_no_edges_to_answer(tmp_path):
+    # n=1 gives a spanning tree with no edges, so rooting walks no tour.
+    graph, pairs = tmp_path / "graph.txt", tmp_path / "pairs.txt"
+    graph.write_text("1 0\n")
+    pairs.write_text("0\n")
+    r = run_cli("all", str(graph), str(pairs))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1 0 0\n"
+    r = run_cli("serve", str(graph), str(pairs), stdin="edge 1\n1 1\n")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "error unknown-edge\nerror unknown-edge\n"
+
+
 def test_all_and_serve_are_exact_at_int64_extremes(tmp_path):
     # Pair (1,3) rides edges 1 and 2; every finite answer is a difference of
     # two capacities, at unit size near 2**62 and near 2**64 at the ends.

@@ -90,6 +90,14 @@ def test_on_path_examples():
     assert 4 not in tree
 
 
+def test_index_columns_are_read_only():
+    _, idx = _indexed(diamond_example())
+    for column in (idx.parent_edge, idx.depths, idx._tin, idx._tout, idx._pos,
+                   idx._table):
+        with pytest.raises(ValueError):
+            column[(0,) * column.ndim] = 5
+
+
 def _random_tree_graph(rng, max_n):
     """A graph that is itself a tree, with distinct capacities."""
     n = rng.randint(2, max_n)
@@ -112,10 +120,11 @@ def test_matches_naive_answers_on_random_trees():
     for _ in range(120):
         g = _random_tree_graph(rng, 64)
         tree, idx = _indexed(g)
-        _, _, depth = tree_parents(g, tree.edge_ids, 1)
+        _, parent_edge, depth = tree_parents(g, tree.edge_ids, 1)
         verts = range(1, g.n + 1)
         for x in verts:
             assert idx.depth(x) == depth[x]
+            assert idx.parent_edge[x] == parent_edge[x]
         for _ in range(30):
             s = rng.randint(1, g.n)
             t = rng.randint(1, g.n)
@@ -221,3 +230,46 @@ def test_path_minima_and_lower_table_on_extreme_shapes(shape, height):
         expected = 0 if s == t else naive_path_min_edge(g, tree.edge_ids, s, t)
         assert e == expected
     assert compute_lower_replacements(g, tree, idx).tolist() == naive_lower_replacements(g, tree)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_rooting_at_scale_on_path_and_star(shape):
+    # n-1 = 299999 tree edges and no chords, so the graph is its own
+    # spanning tree.  Path: edge e joins n-e and n-e+1, so vertex v > 1 hangs
+    # from v-1 by edge n-v+1 at depth v-1.  Star centred at n: edge e joins e
+    # and n, so n hangs from the root by edge 1 and every other v > 1 from n
+    # by edge v, at depth 2.  Orientations alternate.  The preorder interval
+    # [tin, tout) of a vertex is as long as its subtree.
+    n = 300_000
+    gen = np.random.default_rng(11)
+    e = np.arange(1, n)
+    u, v = (n - e, n - e + 1) if shape == "path" else (e, np.full(n - 1, n))
+    flip = e % 2 == 1
+    rows = np.stack([np.where(flip, v, u), np.where(flip, u, v),
+                     gen.permutation(n - 1)], axis=1)
+    g = CapacitatedGraph(n, rows)
+    _, idx = _indexed(g)
+    vs = np.arange(n + 1)
+    if shape == "path":
+        parent_edge, depth = np.where(vs > 1, n - vs + 1, 0), np.maximum(vs - 1, 0)
+        size = n + 1 - vs
+    else:
+        parent_edge, depth = np.where(vs > 1, vs, 0), np.where(vs > 1, 2, 0)
+        parent_edge[n], depth[n] = 1, 1
+        size = np.ones(n + 1, dtype=np.int64)
+        size[1], size[n] = n, n - 1
+    assert np.array_equal(idx.parent_edge[1:], parent_edge[1:])
+    assert np.array_equal(idx.depths[1:], depth[1:])
+    assert np.array_equal((idx._tout - idx._tin)[1:], size[1:])
+    picks = gen.integers(1, n, size=20)
+    # pair ends drawn among the picked ids, so star leaf edges lie on paths
+    ends = np.concatenate([picks, [1, n], gen.integers(1, n + 1, size=20)])
+    ss, ts = gen.choice(ends, size=200), gen.choice(ends, size=200)
+    s_tin, t_tin = idx.tin_of(ss), idx.tin_of(ts)
+    for edge in picks.tolist():
+        if shape == "path":
+            child = n - edge + 1  # the edge joins child-1 and child
+            expected = (np.minimum(ss, ts) < child) & (child <= np.maximum(ss, ts))
+        else:
+            expected = (ss == edge) != (ts == edge)
+        assert np.array_equal(idx.on_path(edge, s_tin, t_tin), expected)
