@@ -9,7 +9,6 @@ from .graphs import (CapacitatedGraph, EdgeId, ParseError, QueryPair,
                      VertexId, Violation, capacity_ranks, diamond_example,
                      parse_graph, parse_pairs, serialize_graph,
                      single_edge_example, triangle_example, validate)
-from .dsu import DisjointSets
 from .mst import SpanningTree, build_max_spanning_tree
 from .tree_index import RootedTreeIndex, build_index
 from .replacement import (ReplacementTables, build_replacement_tables,
@@ -31,7 +30,6 @@ __all__ = [
     "Violation", "capacity_ranks", "parse_graph", "parse_pairs",
     "serialize_graph", "validate", "triangle_example", "diamond_example",
     "single_edge_example",
-    "DisjointSets",
     "SpanningTree", "build_max_spanning_tree",
     "RootedTreeIndex", "build_index",
     "ReplacementTables", "build_replacement_tables",

@@ -218,13 +218,7 @@ def cmd_bench(args) -> int:
     g = random_benchmark_graph(n, m, seed)
     generate_seconds = time.perf_counter() - t0
 
-    rng = random.Random(seed ^ 0x5EED)
-    pairs = []
-    while len(pairs) < k:
-        s = rng.randint(1, n)
-        t = rng.randint(1, n)
-        if s != t:
-            pairs.append(QueryPair(s, t))
+    pairs = sample_pairs(random.Random(seed ^ 0x5EED), n, k)
 
     t0 = time.perf_counter()
     oracle = preprocess(g, pairs)
@@ -240,8 +234,8 @@ def cmd_bench(args) -> int:
     mean = sum(times) / len(times)
     p99 = times[min(len(times) - 1, int(len(times) * 0.99))]
 
-    for key, value in (("n", n), ("m", m), ("k", k), ("queries", queries),
-                       ("seed", seed),
+    for key, value in (("n", n), ("m", m), ("k", len(pairs)),
+                       ("queries", queries), ("seed", seed),
                        ("generate_seconds", f"{generate_seconds:.6f}"),
                        ("preprocess_seconds", f"{preprocess_seconds:.6f}"),
                        ("query_mean_seconds", f"{mean:.9f}"),

@@ -6,13 +6,16 @@ result is independent of edge input order.  The scan,
 comparison in the library follows, and stops at the (n-1)th tree edge.
 
 The same pass records the merge chain.  Each component keeps its vertices as
-one run; when tree edge f joins components A and B, B's run is appended to
-A's and f is stored at the junction between them.  The final run lists all n
-vertices, and between any two of them the junction of least rank is the
-minimum-rank edge on their tree path: f has lower rank than every edge
-already inside A or B, and every path from A to B crosses f.  This is the
-Kruskal reconstruction tree read as a Cartesian tree over the chain, so one
-range-minimum table answers every tree-path minimum (see tree_index).
+one run, which starts at the component's union-find root.  When tree edge f
+joins components A and B, union by rank picks the surviving root, say A's;
+B's run is appended to A's and f is stored at the junction between them, so
+the root still starts the merged run.  Either order of the two runs puts f
+at their junction.  The final run lists all n vertices, and between any two
+of them the junction of least rank is the minimum-rank edge on their tree
+path: f has lower rank than every edge already inside A or B, and every path
+from A to B crosses f.  This is the Kruskal reconstruction tree read as a
+Cartesian tree over the chain, so one range-minimum table answers every
+tree-path minimum (see tree_index).
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsu import DisjointSets
 from .graphs import CapacitatedGraph, descending_edges
 
 
@@ -44,31 +46,42 @@ class SpanningTree:
         return bool(self.is_tree_edge[e])
 
 
+def find(up: list[int], x: int) -> int:
+    """Root of x's tree in the parent list ``up``, halving the path on the
+    way; a root is its own parent."""
+    while up[x] != x:
+        up[x] = x = up[up[x]]
+    return x
+
+
 def build_max_spanning_tree(g: CapacitatedGraph) -> SpanningTree:
     """Unique maximum spanning tree of a validated (connected) graph."""
-    sets = DisjointSets(g.n + 1)
-    find, join = sets.find, sets.join
+    up = list(range(g.n + 1))
+    rank = [0] * (g.n + 1)  # union by rank bounds each find at O(log n) steps
     missing = g.n - 1  # tree edges not yet found
-    # each component's run is first[r] .. last[r] by following succ; via[v]
-    # is the tree edge at the junction between v and succ[v]
-    first = list(range(g.n + 1))
+    # each component's run goes from its root to last[root] by following
+    # succ; via[v] is the tree edge at the junction between v and succ[v]
     last = list(range(g.n + 1))
     succ = [0] * (g.n + 1)
     via = [0] * (g.n + 1)
     for e, u, v in descending_edges(g):
-        a, b = find(u), find(v)
+        a, b = find(up, u), find(up, v)
         if a == b:
             continue
-        succ[last[a]] = first[b]
+        if rank[a] < rank[b]:
+            a, b = b, a
+        elif rank[a] == rank[b]:
+            rank[a] += 1
+        up[b] = a
+        succ[last[a]] = b
         via[last[a]] = e
-        r = join(a, b)
-        first[r], last[r] = first[a], last[b]
+        last[a] = last[b]
         missing -= 1
         if not missing:
             break
     if missing:
         raise ValueError("graph is not connected")
-    chain = [first[find(1)]]
+    chain = [find(up, 1)]
     for _ in range(g.n - 1):
         chain.append(succ[chain[-1]])
     junction = np.array([via[v] for v in chain[:-1]], dtype=np.int64)

@@ -18,12 +18,15 @@ exists.  U costs one O(1) range-minimum query per non-tree edge, made in
 batches of ``graphs.CHUNK``.  L needs no LCA; it is the contraction walk of
 Tarjan's offline path-compression MST verification.  Scan the non-tree edges
 in decreasing capacity order over a union-find of tree vertices whose sets
-are subtrees with every internal edge covered.  For edge (x,y), repeatedly
-take the deeper of the two set tops, assign the current edge to its
-still-uncovered parent edge and join its set to the parent's, until x and y
-share a set.  Each tree edge is contracted exactly once, and the scan is
-``graphs.descending_edges`` over the non-tree edges, so the walk is
-near-linear and holds lists of n entries only.
+are subtrees with every internal edge covered; each set is a tree of the
+union-find's parent list, rooted at the subtree's top vertex.  For edge
+(x,y), repeatedly take the deeper of the two tops, assign the current edge
+to its still-uncovered parent edge and hang it under the root of its tree
+parent's set, until x and y share a set.  Each tree edge is contracted
+exactly once, and the scan is ``graphs.descending_edges`` over the non-tree
+edges, so the walk holds lists of n entries only.  It links without rank,
+because the top must stay the root, so path halving alone bounds it:
+O(m log_{1+m/n} n) (Tarjan & van Leeuwen 1984).
 """
 from __future__ import annotations
 
@@ -31,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsu import DisjointSets
 from .graphs import CHUNK, CapacitatedGraph, descending_edges
-from .mst import SpanningTree
+from .mst import SpanningTree, find
 from .tree_index import RootedTreeIndex
 
 
@@ -67,12 +69,14 @@ def compute_lower_replacements(g: CapacitatedGraph, tree: SpanningTree,
     """L table: per tree edge, the max-capacity non-tree edge covering it.
 
     Non-tree edges are scanned in decreasing capacity.  Each union-find set
-    is the vertex set of a subtree of T whose internal edges are all covered;
-    ``top`` maps a set's canonical element to its shallowest vertex, whose
-    parent edge is the next uncovered edge above the set.  While the ends of
-    edge (x, y) lie in different sets, the deeper of the two tops is below
-    lca(x, y), so its parent edge is on the path: it is assigned and its set
-    joins the parent's.
+    is the vertex set of a subtree of T whose internal edges are all covered,
+    and its root in ``up`` is the subtree's top, the shallowest vertex, so no
+    map from roots to tops is needed; the top's parent edge is the next
+    uncovered edge above the set.  While the ends of edge (x, y) lie in
+    different sets, the deeper of the two tops is below lca(x, y), so its
+    parent edge is on the path: it is assigned and the top hangs under its
+    parent's root.  Without union by rank, path halving bounds the walk at
+    O(m log_{1+m/n} n).
     """
     parent_edge = idx.parent_edge
     # a vertex's parent is the other endpoint of its parent edge
@@ -80,23 +84,18 @@ def compute_lower_replacements(g: CapacitatedGraph, tree: SpanningTree,
               - np.arange(g.n + 1)).tolist()
     depth = idx.depths.tolist()
     cover = [0] * (g.n + 1)  # cover[v]: the L entry of v's parent edge
-    sets = DisjointSets(g.n + 1)
-    top = list(range(g.n + 1))
-    find, join = sets.find, sets.join
+    up = list(range(g.n + 1))
 
     for e, x, y in descending_edges(g, ~tree.is_tree_edge):
-        rx, ry = find(x), find(y)
-        while rx != ry:
-            if depth[top[rx]] < depth[top[ry]]:
-                rx, ry = ry, rx
-            v = top[rx]
-            assert cover[v] == 0, "tree edge contracted twice"
-            cover[v] = e
-            rp = find(parent[v])
-            new_top = top[rp]
-            rx = join(rx, rp)
-            top[rx] = new_top
-            ry = find(ry)  # ry may have been the parent's set, just joined
+        x, y = find(up, x), find(up, y)
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            assert cover[x] == 0, "tree edge contracted twice"
+            cover[x] = e
+            # y stays a root: x's parent's set is either y's, ending the loop,
+            # or another set, which x joins
+            up[x] = x = find(up, parent[x])
     table = np.zeros(g.m + 1, dtype=np.int64)
     table[parent_edge] = cover  # the root's and slot 0's entries land in slot 0
     table.flags.writeable = False

@@ -1,52 +1,51 @@
+"""The union-find of both preprocessing scans: one parent list ``up`` and
+``bptol.mst.find``, merged by rank here as the Kruskal scan merges."""
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bptol import DisjointSets
+from bptol.mst import find
 
 
-def _merge(sets, a, b):
-    """Merge the subsets containing a and b, as the Kruskal scan does with
-    find and join; True if they were distinct."""
-    ra, rb = sets.find(a), sets.find(b)
+def _singletons(size):
+    """A parent list and ranks for `size` singleton subsets."""
+    return list(range(size)), [0] * size
+
+
+def _merge(up, rank, a, b):
+    """Merge the subsets containing a and b by rank, as the Kruskal scan
+    does; True if they were distinct."""
+    ra, rb = find(up, a), find(up, b)
     if ra == rb:
         return False
-    sets.join(ra, rb)
+    if rank[ra] < rank[rb]:
+        ra, rb = rb, ra
+    elif rank[ra] == rank[rb]:
+        rank[ra] += 1
+    up[rb] = ra
     return True
 
 
-def _subset_count(sets, size):
-    return len({sets.find(x) for x in range(size)})
+def _subset_count(up, size):
+    return len({find(up, x) for x in range(size)})
 
 
 def test_find_singletons_and_count():
-    s = DisjointSets(3)
-    assert [s.find(x) for x in range(3)] == [0, 1, 2]
-    assert _subset_count(s, 3) == 3
+    up, _ = _singletons(3)
+    assert [find(up, x) for x in range(3)] == [0, 1, 2]
+    assert _subset_count(up, 3) == 3
     with pytest.raises(IndexError):
-        s.find(3)
-
-
-def test_join_canonical_only():
-    s = DisjointSets(4)
-    merged = s.join(s.find(1), s.find(2))
-    assert s.find(1) == s.find(2) == merged
-    assert _subset_count(s, 4) == 3
-    with pytest.raises(ValueError):
-        s.join(s.find(1), s.find(1))          # same subset
-    non_canonical = 1 if s.find(1) == 2 else 2
-    with pytest.raises(ValueError):
-        s.join(non_canonical, s.find(3))
+        find(up, 3)
 
 
 def test_join_transitivity():
-    s = DisjointSets(4)
-    s.join(s.find(1), s.find(2))
-    s.join(s.find(2), s.find(3))
-    assert s.find(1) == s.find(3)
-    assert _subset_count(s, 4) == 2  # {0} and {1, 2, 3}
+    up, rank = _singletons(4)
+    _merge(up, rank, 1, 2)
+    _merge(up, rank, 2, 3)
+    assert find(up, 1) == find(up, 3)
+    assert _subset_count(up, 4) == 2  # {0} and {1, 2, 3}
 
 
 class NaivePartition:
@@ -74,11 +73,11 @@ class NaivePartition:
 
 
 def test_randomized_equivalence_with_naive_partition():
-    # The structure is sized in advance; elements join the naive partition
+    # The parent list is sized in advance; elements join the naive partition
     # as the sequence first uses them, and the rest stay singletons.
     rng = random.Random(2024)
     size = 12_000
-    fast = DisjointSets(size)
+    up, rank = _singletons(size)
     slow = NaivePartition()
     elements = []
     for op in range(12_000):
@@ -89,25 +88,25 @@ def test_randomized_equivalence_with_naive_partition():
             slow.create(x)
         elif move < 0.7:
             a, b = rng.choice(elements), rng.choice(elements)
-            assert _merge(fast, a, b) == slow.union(a, b)
+            assert _merge(up, rank, a, b) == slow.union(a, b)
         else:
             a, b = rng.choice(elements), rng.choice(elements)
-            assert (fast.find(a) == fast.find(b)) == slow.same(a, b)
+            assert (find(up, a) == find(up, b)) == slow.same(a, b)
         if op % 997 == 0:
-            assert _subset_count(fast, size) == len(slow.sets) + size - len(elements)
-    assert _subset_count(fast, size) == len(slow.sets) + size - len(elements)
+            assert _subset_count(up, size) == len(slow.sets) + size - len(elements)
+    assert _subset_count(up, size) == len(slow.sets) + size - len(elements)
 
 
 @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))
 @settings(max_examples=60)
 def test_partition_matches_naive_on_any_sequence(ops):
-    fast = DisjointSets(20)
+    up, rank = _singletons(20)
     slow = NaivePartition()
     for x in range(20):
         slow.create(x)
     for a, b in ops:
-        assert _merge(fast, a, b) == slow.union(a, b)
+        assert _merge(up, rank, a, b) == slow.union(a, b)
     for a in range(20):
         for b in range(a + 1, 20):
-            assert (fast.find(a) == fast.find(b)) == slow.same(a, b)
-    assert _subset_count(fast, 20) == len(slow.sets)
+            assert (find(up, a) == find(up, b)) == slow.same(a, b)
+    assert _subset_count(up, 20) == len(slow.sets)

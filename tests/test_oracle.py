@@ -91,6 +91,14 @@ def test_out_of_range_arguments():
         o.bottleneck_value(-1)
     with pytest.raises(IndexError):
         o.bottleneck_value(5)
+    # vertex ids outside 1..n, which numpy would otherwise wrap or accept
+    idx = preprocess(diamond_example(), [(1, 4)]).index
+    for s, t in ((0, 3), (-1, 3), (3, -1), (3, 5)):
+        with pytest.raises(IndexError):
+            idx.path_min_edge(s, t)
+    for x in (0, -1, 5):
+        with pytest.raises(IndexError):
+            idx.depth(x)
 
 
 def test_preprocess_rejects_invalid_pairs():
