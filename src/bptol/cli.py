@@ -58,6 +58,13 @@ def _load_validated(graph_path: str, break_ties: bool) -> CapacitatedGraph:
     return g
 
 
+def _load_oracle(args) -> ToleranceOracle:
+    """The oracle for ``serve`` and ``all``: the validated graph, preprocessed
+    with its pairs file."""
+    g = _load_validated(args.graph, args.break_ties)
+    return preprocess(g, parse_pairs(_read_text(args.pairs), g.n))
+
+
 class _ValidationFailure(Exception):
     pass
 
@@ -90,33 +97,23 @@ def _answer_lines(oracle: ToleranceOracle, e: int) -> list[str]:
 
 def _resolve_request(g: CapacitatedGraph, line: str) -> int | None:
     """EdgeId for a request line, or None when it names no edge."""
-    parts = line.split()
-    if len(parts) == 2 and parts[0] == "edge":
-        try:
-            e = int(parts[1])
-        except ValueError:
-            return None
-        return e if 1 <= e <= g.m else None
-    if len(parts) == 2:
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            return None
-        if not (1 <= u <= g.n and 1 <= v <= g.n):
-            return None
-        return g.edge_between(u, v)
-    return None
+    try:
+        a, b = line.split()  # any other field count raises ValueError too
+        if a == "edge":
+            e = int(b)
+            return e if 1 <= e <= g.m else None
+        return g.edge_between(int(a), int(b))
+    except ValueError:
+        return None
 
 
 def cmd_serve(args) -> int:
-    g = _load_validated(args.graph, args.break_ties)
-    pairs = parse_pairs(_read_text(args.pairs), g.n)
-    oracle = preprocess(g, pairs)
+    oracle = _load_oracle(args)
     out = sys.stdout
     for line in sys.stdin:
         if not line.strip():
             continue
-        e = _resolve_request(g, line)
+        e = _resolve_request(oracle.graph, line)
         if e is None:
             out.write("error unknown-edge\n")
         else:
@@ -128,11 +125,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_all(args) -> int:
-    g = _load_validated(args.graph, args.break_ties)
-    pairs = parse_pairs(_read_text(args.pairs), g.n)
-    oracle = preprocess(g, pairs)
+    oracle = _load_oracle(args)
+    g = oracle.graph
     out = sys.stdout
-    out.write(f"{g.n} {g.m} {len(pairs)}\n")
+    out.write(f"{g.n} {g.m} {len(oracle.pairs)}\n")
     for e in g.edge_ids():
         lines = _answer_lines(oracle, e)
         lines.append("")
@@ -251,25 +247,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bptol",
         description="Bottleneck-path tolerance preprocessing and queries.")
     sub = parser.add_subparsers(dest="command", required=True)
+    ties = argparse.ArgumentParser(add_help=False)
+    ties.add_argument("--break-ties", action="store_true",
+                      help="accept duplicate capacities (results then hold for "
+                           "an infinitesimally perturbed instance)")
 
-    p = sub.add_parser("validate", help="check a graph file")
+    p = sub.add_parser("validate", parents=[ties], help="check a graph file")
     p.add_argument("graph")
-    p.add_argument("--break-ties", action="store_true",
-                   help="accept duplicate capacities (results then hold for an "
-                        "infinitesimally perturbed instance)")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("serve", help="answer edge queries from stdin")
-    p.add_argument("graph")
-    p.add_argument("pairs")
-    p.add_argument("--break-ties", action="store_true")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("all", help="dump tolerances for every (edge, pair)")
-    p.add_argument("graph")
-    p.add_argument("pairs")
-    p.add_argument("--break-ties", action="store_true")
-    p.set_defaults(func=cmd_all)
+    for name, func, text in (("serve", cmd_serve, "answer edge queries from stdin"),
+                             ("all", cmd_all, "dump tolerances for every (edge, pair)")):
+        p = sub.add_parser(name, parents=[ties], help=text)
+        p.add_argument("graph")
+        p.add_argument("pairs")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="randomized cross-check against the "
                                       "brute-force reference")

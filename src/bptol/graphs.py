@@ -149,7 +149,7 @@ def parse_graph(text: str | bytes) -> CapacitatedGraph:
     line; :func:`validate` checks connectivity and capacity injectivity.
     """
     lines, (n, m) = _header(text, "n m", "edge")
-    rows, error = _rows(lines, m, n, "u v c")
+    rows, error = _rows(lines, m, n, "u v c", "edge")
     g = CapacitatedGraph(n, rows)
     repeat = _first_parallel(g)  # among the rows before the first bad line
     if repeat is not None:
@@ -175,7 +175,7 @@ def parse_pairs(text: str | bytes, n: int) -> list[QueryPair]:
     (no path semantics exist for a pair with equal endpoints).
     """
     lines, (k,) = _header(text, "k", "pair")
-    rows, error = _rows(lines, k, n, "s t")
+    rows, error = _rows(lines, k, n, "s t", "pair")
     same = np.flatnonzero(rows[:, 0] == rows[:, 1])  # in the rows before the first bad line
     if len(same):
         raise ParseError(int(same[0]) + 2, f"source equals target ({rows[same[0], 0]})")
@@ -207,17 +207,15 @@ def _header(text: str | bytes, names: str, noun: str) -> tuple[list[str], list[i
             raise ParseError(1, f"vertex count {n} above {MAX_VERTICES}")
     if count < 0:
         raise ParseError(1, f"{noun} count must be nonnegative, got {count}")
-    if len(lines) <= count:
-        raise ParseError(len(lines) + 1, f"expected {count} {noun} lines, "
-                                         f"found {len(lines) - 1}")
     return lines, [*sizes, count]
 
 
-def _rows(lines: list[str], count: int, n: int,
-          fields: str) -> tuple[np.ndarray, ParseError | None]:
+def _rows(lines: list[str], count: int, n: int, fields: str,
+          noun: str) -> tuple[np.ndarray, ParseError | None]:
     """Lines 2..count+1 as int64 rows of the fields ``fields`` names, the first
     two vertex ids in 1..n, and the error of the first bad line (a non-blank
-    one after them counts), if any, with only the rows before it."""
+    one after them, or a missing ``noun`` line, counts), if any, with only the
+    rows before it."""
     body, width = lines[1:count + 1], len(fields.split())
     extra = next(filter(str.strip, lines[count + 1:]), None)
     error = None if extra is None else ParseError(
@@ -244,6 +242,9 @@ def _rows(lines: list[str], count: int, n: int,
                 if not -(2**63) <= c < 2**63:
                     raise ParseError(line_no, f"capacity {c} outside signed 64-bit range")
             rows.append(row)
+        if len(body) < count:  # every present line is good
+            raise ParseError(len(lines) + 1, f"expected {count} {noun} lines, "
+                                             f"found {len(body)}")
     except ParseError as exc:
         error = exc
     return np.array(rows, dtype=np.int64).reshape(-1, width), error

@@ -43,7 +43,7 @@ class SpanningTree:
         return frozenset(np.flatnonzero(self.is_tree_edge).tolist())
 
     def __contains__(self, e: int) -> bool:
-        return bool(self.is_tree_edge[e])
+        return 0 < e < len(self.is_tree_edge) and bool(self.is_tree_edge[e])
 
 
 def find(up: list[int], x: int) -> int:

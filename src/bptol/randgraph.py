@@ -8,6 +8,7 @@ the command line.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -45,22 +46,18 @@ def random_connected_graph(rng: random.Random, max_n: int) -> CapacitatedGraph:
 
 
 def sample_pairs(rng: random.Random, n: int, count: int) -> list[QueryPair]:
-    """Up to `count` distinct source-target pairs, in random orientation."""
+    """Up to `count` distinct source-target pairs, uniform without replacement
+    at every n, each in random orientation.  Positions in the lexicographic
+    list of the pairs s < t are drawn without building it, and decoded in the
+    combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3)."""
     total = n * (n - 1) // 2
-    if total <= 100_000:
-        all_pairs = list(combinations(range(1, n + 1), 2))
-        picked = rng.sample(all_pairs, min(count, total))
-    else:
-        # Too many pairs to enumerate; rejection-sample instead.
-        seen: set[tuple[int, int]] = set()
-        while len(seen) < min(count, total):
-            s = rng.randint(1, n)
-            t = rng.randint(1, n)
-            if s != t:
-                seen.add((min(s, t), max(s, t)))
-        picked = sorted(seen)
-    return [QueryPair(t, s) if rng.random() < 0.5 else QueryPair(s, t)
-            for s, t in picked]
+    pairs = []
+    for i in rng.sample(range(total), min(count, total)):
+        j = total - 1 - i  # counted back from the last pair (n-1, n)
+        r = (math.isqrt(8 * j + 1) - 1) // 2  # the largest r with r(r+1)/2 <= j
+        s, t = n - 1 - r, n - (j - r * (r + 1) // 2)
+        pairs.append(QueryPair(t, s) if rng.random() < 0.5 else QueryPair(s, t))
+    return pairs
 
 
 def all_connected_graphs(n: int, rng: random.Random):

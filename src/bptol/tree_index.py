@@ -127,9 +127,11 @@ class RootedTreeIndex:
 
     def on_path(self, e: int, s_tin: np.ndarray, t_tin: np.ndarray) -> np.ndarray:
         """For each pair, given as precomputed tins of s and t, whether tree
-        edge e lies on the tree path s..t."""
+        edge e lies on the tree path s..t; ValueError for a non-tree edge."""
         u, v = self._graph.endpoints(e)
         child = u if self.parent_edge[u] == e else v
+        if e < 1 or self.parent_edge[child] != e:  # the root's parent edge is 0
+            raise ValueError(f"edge {e} is not a tree edge")
         lo, hi = self._tin[child], self._tout[child]
         return ((lo <= s_tin) & (s_tin < hi)) != ((lo <= t_tin) & (t_tin < hi))
 

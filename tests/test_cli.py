@@ -45,6 +45,13 @@ def test_validate_break_ties_allows_duplicates():
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "serve", "all"])
+def test_break_ties_is_described_by_each_command(command):
+    r = run_cli(command, "--help")
+    assert r.returncode == 0
+    assert "accept duplicate capacities" in r.stdout
+
+
 def test_validate_missing_file_is_usage_error():
     r = run_cli("validate", str(DATA / "no_such_file.txt"))
     assert r.returncode == 2

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from bptol import (CapacitatedGraph, ParseError, QueryPair, capacity_ranks,
                    diamond_example, parse_graph, parse_pairs, preprocess,
-                   random_benchmark_graph, random_connected_graph, serialize_graph,
-                   single_edge_example, triangle_example, validate)
+                   random_benchmark_graph, random_connected_graph, sample_pairs,
+                   serialize_graph, single_edge_example, triangle_example, validate)
 from bptol.graphs import CHUNK, MAX_VERTICES, descending_edges
 
 from naive import naive_unreached
@@ -45,6 +46,7 @@ def test_parse_accepts_bytes():
     ("0 0\n", 1),
     ("3 -1\n", 1),
     ("3 2\n1 2 5\n", 3),                       # missing edge line
+    ("3 3\n1 2 x\n", 2),                       # bad line, then missing lines
     ("3 2\n1 2 5\nbogus\n", 3),
     ("3 2\n1 2 5\n2 3 x\n", 3),
     ("3 2\n1 2 5\n2 9 1\n", 3),                # vertex out of range
@@ -281,6 +283,7 @@ def test_parse_pairs():
     # of two defects on different lines, the earlier line wins
     ("3\n1 3\n2 2\n1 x\n", "line 3: source equals target (2)"),
     ("3\n1 3\n1 x\n2 2\n", "line 3: non-integer field in '1 x'"),
+    ("2\n1 1\n", "line 2: source equals target (1)"),  # then a missing line
 ])
 def test_parse_pairs_error_messages(text, message):
     with pytest.raises(ParseError) as info:
@@ -378,6 +381,25 @@ def test_benchmark_graph_favours_no_vertex_ids():
     assert (lower <= n // 4).mean() < 0.5
     # a complete graph needs every pair off the tree as a chord
     assert validate(random_benchmark_graph(6, 15, seed=7)) is None
+
+
+def _unordered(pairs):
+    return [(min(p.s, p.t), max(p.s, p.t)) for p in pairs]
+
+
+def test_sample_pairs_asked_for_all_takes_each_pair_once():
+    rng = random.Random(14)
+    for n in range(2, 41):
+        total = n * (n - 1) // 2
+        pairs = sample_pairs(rng, n, total + rng.randint(0, 3))
+        assert sorted(_unordered(pairs)) == list(combinations(range(1, n + 1), 2))
+
+
+@pytest.mark.parametrize("n", [10**5, 3 * 10**9])  # no list of all pairs fits
+def test_sample_pairs_draws_distinct_pairs_at_large_n(n):
+    pairs = sample_pairs(random.Random(5), n, 500)
+    assert len(set(_unordered(pairs))) == 500
+    assert all(1 <= p.s <= n and 1 <= p.t <= n and p.s != p.t for p in pairs)
 
 
 @pytest.mark.parametrize("tied", [False, True])

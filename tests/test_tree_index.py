@@ -85,9 +85,13 @@ def test_on_path_examples():
         u, v = g.endpoints(e)
         assert _on_path(idx, e, u, v) is True
     # Every tree edge, and no other, is the parent edge of one non-root
-    # vertex; the rule is never asked of edge 4.
+    # vertex, so the rule refuses the non-tree edges 4 and 5, and edge slot 0.
     assert sorted(idx.parent_edge[2:].tolist()) == sorted(tree.edge_ids)
-    assert 4 not in tree
+    for e in (4, 5, 0):
+        with pytest.raises(ValueError):
+            _on_path(idx, e, 1, 4)
+    # membership answers only for edge ids 1..m
+    assert 4 not in tree and -3 not in tree and 6 not in tree
 
 
 def test_index_columns_are_read_only():
