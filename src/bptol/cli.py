@@ -12,8 +12,8 @@ Subcommands:
   oracle against the brute-force reference; prints the first counterexample
   verbatim on failure.
 * ``bench [N] [M] [K] [QUERIES] [SEED]`` — timing report, one "key value"
-  line each; query times cover one served answer (kernel plus record
-  formatting), as ``serve`` computes it.
+  line each; query times cover one served answer (kernel, record
+  formatting and join), as ``serve`` computes it.
 
 Exit codes: 0 success, 1 validation/verification failure (including parse
 errors), 2 I/O or usage errors.  Tolerances print as integers or lowercase
@@ -95,6 +95,14 @@ def _answer_lines(oracle: ToleranceOracle, e: int) -> list[str]:
     return lines
 
 
+def _answer_text(oracle: ToleranceOracle, e: int) -> str:
+    """The k records answering edge e as ``serve`` and ``all`` write them,
+    each ending in a newline."""
+    lines = _answer_lines(oracle, e)
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _resolve_request(g: CapacitatedGraph, line: str) -> int | None:
     """EdgeId for a request line, or None when it names no edge."""
     try:
@@ -117,9 +125,8 @@ def cmd_serve(args) -> int:
         if e is None:
             out.write("error unknown-edge\n")
         else:
-            lines = _answer_lines(oracle, e)
-            lines += ("", "")  # each answer ends with a blank line
-            out.write("\n".join(lines))
+            out.write(_answer_text(oracle, e))
+            out.write("\n")  # each answer ends with a blank line
         out.flush()
     return EXIT_OK
 
@@ -130,9 +137,7 @@ def cmd_all(args) -> int:
     out = sys.stdout
     out.write(f"{g.n} {g.m} {len(oracle.pairs)}\n")
     for e in g.edge_ids():
-        lines = _answer_lines(oracle, e)
-        lines.append("")
-        out.write("\n".join(lines))
+        out.write(_answer_text(oracle, e))
     return EXIT_OK
 
 
@@ -224,7 +229,7 @@ def cmd_bench(args) -> int:
     times = []
     for e in edge_stream.tolist():
         t0 = time.perf_counter()
-        _answer_lines(oracle, e)
+        _answer_text(oracle, e)
         times.append(time.perf_counter() - t0)
     times.sort()
     mean = sum(times) / len(times)

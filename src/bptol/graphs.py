@@ -54,12 +54,15 @@ class CapacitatedGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] | np.ndarray):
         """``edges`` holds (u, v, c) rows, as tuples or an (m, 3) integer
-        array; a value outside int64 raises OverflowError."""
+        array; a value outside int64 raises OverflowError, and a vertex id
+        outside 1..n ValueError."""
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} above {MAX_VERTICES}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         rows = np.asarray(edges, dtype=np.int64).reshape(len(edges), 3)
+        if len(rows) and not (1 <= rows[:, :2].min() and rows[:, :2].max() <= n):
+            raise ValueError(f"vertex id out of range 1..{n}")
         self.n = n
         self.m = len(rows)
         columns = np.zeros((3, self.m + 1), dtype=np.int64)

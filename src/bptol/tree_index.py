@@ -6,9 +6,12 @@ each tree edge at the junction where its union joined two runs
 (``tree.junction``).  The minimum-capacity edge on the tree path s..t is the
 minimum-rank junction between s and t in that chain: the Kruskal
 reconstruction tree read as a Cartesian tree (Demaine, Landau & Weimann, "On
-Cartesian Trees and Range Minimum Queries", ICALP 2009).  One sparse table
-over the junctions, where row j holds the minimum-rank edge of every window
-of 2^j junctions, answers it with two lookups.  No LCA is needed.
+Cartesian Trees and Range Minimum Queries", ICALP 2009).  A sparse table
+whose row j holds the least capacity rank of every window of 2^j junctions
+finds that junction's rank with two lookups, and ``g.capacity_order``, the
+one copy of that order, maps it to its edge.  No LCA is needed.
+``path_min_edge_batch`` answers many pairs at once; the scalar
+``path_min_edge`` calls it.
 
 Linking the Euler tours of the tree edges (Tarjan & Vishkin 1985; Henzinger
 & King 1995) roots the tree at vertex 1 with no adjacency list, search or
@@ -19,9 +22,6 @@ path between s and t exactly when one of s, t lies in the subtree of e's
 child endpoint, the one whose parent edge is e, and the other does not;
 ``on_path`` tests that for many pairs at once.  Everything is immutable
 after construction and safe for concurrent reads.
-
-``path_min_edge_batch`` takes numpy arrays and is the one implementation;
-the scalar ``path_min_edge`` calls it.
 """
 from __future__ import annotations
 
@@ -32,15 +32,13 @@ from .mst import SpanningTree
 
 
 class RootedTreeIndex:
-    __slots__ = ("n", "rank", "parent_edge", "depths", "_graph", "_tin", "_tout",
-                 "_pos", "_table")
+    __slots__ = ("n", "parent_edge", "depths", "_graph", "_tin", "_tout", "_pos", "_table")
 
     def __init__(self, g: CapacitatedGraph, tree: SpanningTree, rank: np.ndarray):
-        self.rank = rank
         self.n = g.n
         self._graph = g
         self._root_tree(g, tree)
-        self._build_range_minima(tree)
+        self._build_range_minima(tree, rank)
 
     # -- construction -----------------------------------------------------
 
@@ -62,7 +60,7 @@ class RootedTreeIndex:
         pos[order] = np.arange(arcs, dtype=np.int64)
         # the k-th down arc (parent to child), at tour position p, precedes its
         # reverse by 2 * size - 1; its child has preorder k, depth k - (p + 1 - k)
-        p = np.flatnonzero(pos[order] < pos[order ^ 1])
+        p = np.flatnonzero(np.arange(arcs) < pos[order ^ 1])
         down = order[p]
         child = heads[down]
         k = np.arange(1, n, dtype=np.int64)
@@ -76,20 +74,15 @@ class RootedTreeIndex:
         columns.flags.writeable = False
         self.parent_edge, self.depths, self._tin, self._tout = columns
 
-    def _build_range_minima(self, tree: SpanningTree) -> None:
-        n = self.n
-        pos = np.zeros(n + 1, dtype=np.int64)
-        pos[tree.chain] = np.arange(n, dtype=np.int64)
-        rank = self.rank
-        # a trailing edge-0 sentinel (highest rank) keeps every lookup of an
-        # empty range in bounds
-        levels = max(1, (n - 1).bit_length())
-        table = np.tile(np.append(tree.junction, 0), (levels, 1))
-        for j in range(1, levels):
+    def _build_range_minima(self, tree: SpanningTree, rank: np.ndarray) -> None:
+        pos = np.zeros(self.n + 1, dtype=np.int64)
+        pos[tree.chain] = np.arange(self.n, dtype=np.int64)
+        # entry i of row j is the least rank of junctions i..i+2^j-1; no lookup
+        # reads an entry whose window runs past the last junction
+        table = np.tile(rank[tree.junction], (len(tree.junction).bit_length(), 1))
+        for j in range(1, len(table)):
             half = 1 << (j - 1)
-            a = table[j - 1, :-half]
-            b = table[j - 1, half:]
-            table[j, :-half] = np.where(rank[a] <= rank[b], a, b)
+            np.minimum(table[j - 1, :-half], table[j - 1, half:], out=table[j, :-half])
         pos.flags.writeable = table.flags.writeable = False
         self._pos, self._table = pos, table
 
@@ -106,18 +99,17 @@ class RootedTreeIndex:
     def path_min_edge_batch(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Vectorized path_min_edge; entries with ss == ts yield sentinel 0.
 
-        The path's junctions are chain positions lo..hi-1; two windows of
-        2^j junctions, with 2^j the largest power of two not above hi-lo,
-        cover them.
-        """
+        The path's junctions are chain positions lo..hi-1, covered by two
+        windows of 2^j junctions, 2^j the largest power of two not above hi-lo."""
         ps, pt = self._pos[ss], self._pos[ts]
         lo, hi = np.minimum(ps, pt), np.maximum(ps, pt)
-        span = hi - lo
-        j = np.maximum(np.frexp(span)[1] - 1, 0)  # floor(log2(span)), exact below 2^53
-        a = self._table[j, lo]
-        b = self._table[j, hi - (1 << j)]
-        best = np.where(self.rank[a] <= self.rank[b], a, b)
-        return np.where(span > 0, best, 0)
+        live = hi > lo  # the other paths have no junction and keep edge 0
+        lo, hi = lo[live], hi[live]
+        j = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact below 2^53
+        best = np.minimum(self._table[j, lo], self._table[j, hi - (1 << j)])
+        edges = np.zeros_like(ps)
+        edges[live] = self._graph.capacity_order[best]
+        return edges
 
     def depth(self, x: int) -> int:
         """Distance from the root; O(1)."""
@@ -127,10 +119,12 @@ class RootedTreeIndex:
 
     def on_path(self, e: int, s_tin: np.ndarray, t_tin: np.ndarray) -> np.ndarray:
         """For each pair, given as precomputed tins of s and t, whether tree
-        edge e lies on the tree path s..t; ValueError for a non-tree edge."""
+        edge e lies on the tree path s..t; ValueError for any other edge id."""
+        if not 1 <= e <= self._graph.m:
+            raise ValueError(f"edge id {e} out of range (m={self._graph.m})")
         u, v = self._graph.endpoints(e)
         child = u if self.parent_edge[u] == e else v
-        if e < 1 or self.parent_edge[child] != e:  # the root's parent edge is 0
+        if self.parent_edge[child] != e:
             raise ValueError(f"edge {e} is not a tree edge")
         lo, hi = self._tin[child], self._tout[child]
         return ((lo <= s_tin) & (s_tin < hi)) != ((lo <= t_tin) & (t_tin < hi))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from bptol import cli
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,6 +235,22 @@ def test_bench_small_graph_timings():
     assert r.returncode == 0
     values = dict(line.split() for line in r.stdout.splitlines())
     assert float(values["preprocess_seconds"]) < 1.0
+
+
+def test_bench_times_the_answer_text_serve_writes(monkeypatch, capsys):
+    # each timed query builds the whole answer text, records joined, once
+    calls = 0
+    answer_text = cli._answer_text
+
+    def counted(oracle, e):
+        nonlocal calls
+        calls += 1
+        return answer_text(oracle, e)
+
+    monkeypatch.setattr(cli, "_answer_text", counted)
+    assert cli.main(["bench", "100", "200", "3", "50", "7"]) == 0
+    assert calls == 50
+    assert "query_mean_seconds" in capsys.readouterr().out
 
 
 def test_bench_infeasible_size_is_usage_error():

@@ -103,6 +103,9 @@ def test_constructor_rejects_values_outside_int64():
         CapacitatedGraph(2, [(1, 2, 2**63)])
     with pytest.raises(ValueError):
         CapacitatedGraph(MAX_VERTICES + 1, [])
+    for ends in ((1, 5), (0, 1), (1, -1)):  # vertex ids outside 1..n
+        with pytest.raises(ValueError):
+            CapacitatedGraph(3, [(*ends, 1), (1, 2, 2), (2, 3, 3)])
     top = MAX_VERTICES
     g = CapacitatedGraph(top, [(1, 2, 5), (top, top - 1, 6)])  # the largest key fits
     assert g.edge_between(top - 1, top) == 2 and g.edge_between(1, top) is None

@@ -68,6 +68,10 @@ def test_path_min_edge_examples():
     _, idxk = _indexed(k2)
     assert idxk.path_min_edge(1, 2) == 1
 
+    # one vertex: no junction, and an empty capacity order to map ranks back
+    _, idx1v = _indexed(CapacitatedGraph(1, []))
+    assert idx1v.path_min_edge_batch(np.array([1]), np.array([1])).tolist() == [0]
+
 
 def test_path_min_edge_rejects_equal_endpoints():
     _, idx = _indexed(diamond_example())
@@ -85,9 +89,10 @@ def test_on_path_examples():
         u, v = g.endpoints(e)
         assert _on_path(idx, e, u, v) is True
     # Every tree edge, and no other, is the parent edge of one non-root
-    # vertex, so the rule refuses the non-tree edges 4 and 5, and edge slot 0.
+    # vertex, so the rule refuses the non-tree edges 4 and 5, edge slot 0 and
+    # the ids 6 and -1 outside 1..m.
     assert sorted(idx.parent_edge[2:].tolist()) == sorted(tree.edge_ids)
-    for e in (4, 5, 0):
+    for e in (4, 5, 0, 6, -1):
         with pytest.raises(ValueError):
             _on_path(idx, e, 1, 4)
     # membership answers only for edge ids 1..m
@@ -95,11 +100,19 @@ def test_on_path_examples():
 
 
 def test_index_columns_are_read_only():
-    _, idx = _indexed(diamond_example())
+    g = diamond_example()
+    tree, idx = _indexed(g)
     for column in (idx.parent_edge, idx.depths, idx._tin, idx._tout, idx._pos,
                    idx._table):
         with pytest.raises(ValueError):
             column[(0,) * column.ndim] = 5
+    # The table holds capacity ranks and the graph's capacity_order maps them
+    # back to edges, so the index holds no column indexed by edge id.  On the
+    # diamond m+1 = 6, n+1 = 5 and the table is 3 junctions wide.
+    held = [getattr(idx, name) for name in type(idx).__slots__ if name != "_graph"]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert len(arrays) == 6 and all(g.m + 1 not in a.shape for a in arrays)
+    assert np.array_equal(idx._table[0], capacity_ranks(g)[tree.junction])
 
 
 def _random_tree_graph(rng, max_n):
@@ -189,9 +202,10 @@ def test_on_path_matches_tree_paths():
         assert on.tolist() == [e in path for path in paths]
 
 
-def _shaped_graph(rng, n, shape, chords):
+def _shaped_graph(rng, n, shape, chords, ties=False):
     """A path-shaped (vertex 1 at one end) or star-shaped maximum spanning
-    tree holding the n-1 largest capacities, plus random chords below it."""
+    tree holding the n-1 largest capacities, plus random chords below it.
+    With ``ties`` the tree capacities take n//20 values, so they tie."""
     others = list(range(2, n + 1))
     rng.shuffle(others)
     if shape == "path":
@@ -209,20 +223,28 @@ def _shaped_graph(rng, n, shape, chords):
             chord_pairs.append((u, v))
     caps = rng.sample(range(-10 * n, 10 * n), n - 1 + chords)
     caps.sort(reverse=True)
+    if ties:  # still above every chord, so the tree is the same
+        caps[:n - 1] = [10 * n + rng.randrange(n // 20) for _ in range(n - 1)]
     rows = [(u, v, c) if rng.random() < 0.5 else (v, u, c)
             for (u, v), c in zip(tree_pairs + chord_pairs, caps)]
     rng.shuffle(rows)
     return CapacitatedGraph(n, rows)
 
 
-@pytest.mark.parametrize("shape, height", [("path", 1999), ("star", 2)])
-def test_path_minima_and_lower_table_on_extreme_shapes(shape, height):
+@pytest.mark.parametrize("shape, height, ties", [
+    pytest.param("path", 1999, False, id="path-1999"),
+    pytest.param("star", 2, False, id="star-2"),
+    pytest.param("path", 1999, True, id="path-1999-tied"),
+    pytest.param("star", 2, True, id="star-2-tied"),
+])
+def test_path_minima_and_lower_table_on_extreme_shapes(shape, height, ties):
     # Height n-1 makes every tree-path walk long and, in the L scan, makes
     # the deeper set-top climb into the other end's set, whose canonical
-    # element must then be looked up again.
-    rng = random.Random(31 if shape == "path" else 32)
+    # element must then be looked up again.  Tied tree capacities make the
+    # table's rank minima, not capacities, pick each path's edge.
+    rng = random.Random((31 if shape == "path" else 32) + 2 * ties)
     n = 2000
-    g = _shaped_graph(rng, n, shape, chords=600)
+    g = _shaped_graph(rng, n, shape, chords=600, ties=ties)
     tree = build_max_spanning_tree(g)
     idx = build_index(tree, g, rank=capacity_ranks(g))
     assert max(idx.depth(v) for v in range(1, n + 1)) == height
