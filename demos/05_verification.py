@@ -29,12 +29,12 @@ for _ in range(instances):
     pairs = sample_pairs(rng, g.n, 3)
     oracle = preprocess(g, pairs)
     answers = {e: oracle.query_edge(e) for e in range(1, g.m + 1)}  # all k per edge
-    for i, p in enumerate(pairs):
-        analysis = PairAnalysis(g, p.s, p.t)   # the brute-force side
+    for i, (s, t) in enumerate(pairs.tolist()):
+        analysis = PairAnalysis(g, s, t)   # the brute-force side
         for e in range(1, g.m + 1):
             fast = answers[e][i]
             slow = analysis.tolerances(e)
-            assert fast == slow, (g, p, e, fast, slow)
+            assert fast == slow, (g, s, t, e, fast, slow)
 
             lower, upper = fast
             if lower is not INFINITY:

@@ -5,8 +5,8 @@ pairs, then ask, for any edge, how far its capacity may drop or grow before
 the fixed optimal path of some pair stops being optimal — all 2k answers in
 O(k) per edge.
 """
-from .graphs import (CapacitatedGraph, EdgeId, ParseError, QueryPair,
-                     VertexId, Violation, capacity_ranks, diamond_example,
+from .graphs import (CapacitatedGraph, EdgeId, ParseError, VertexId,
+                     Violation, capacity_ranks, diamond_example,
                      parse_graph, parse_pairs, serialize_graph,
                      single_edge_example, triangle_example, validate)
 from .mst import SpanningTree, build_max_spanning_tree
@@ -26,7 +26,7 @@ from .randgraph import (all_connected_graphs, random_benchmark_graph,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacitatedGraph", "EdgeId", "ParseError", "QueryPair", "VertexId",
+    "CapacitatedGraph", "EdgeId", "ParseError", "VertexId",
     "Violation", "capacity_ranks", "parse_graph", "parse_pairs",
     "serialize_graph", "validate", "triangle_example", "diamond_example",
     "single_edge_example",

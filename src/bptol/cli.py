@@ -29,8 +29,8 @@ import sys
 import time
 from pathlib import Path
 
-from .graphs import (CapacitatedGraph, ParseError, QueryPair, parse_graph,
-                     parse_pairs, serialize_graph, validate)
+from .graphs import (CapacitatedGraph, ParseError, parse_graph, parse_pairs,
+                     serialize_graph, validate)
 from .oracle import ToleranceOracle, preprocess
 from .randgraph import (random_benchmark_graph, random_connected_graph,
                         random_query_edges, sample_pairs)
@@ -81,7 +81,7 @@ def cmd_validate(args) -> int:
 def _pair_records(oracle: ToleranceOracle) -> tuple[list[str], list[str]]:
     """Each pair's "i s t " prefix and its all-inf record, built once for the
     oracle last asked about; callers only read them."""
-    prefixes = [f"{i} {p.s} {p.t} " for i, p in enumerate(oracle.pairs, start=1)]
+    prefixes = [f"{i} {s} {t} " for i, (s, t) in enumerate(oracle.pairs.tolist(), start=1)]
     return prefixes, [p + "inf inf" for p in prefixes]
 
 
@@ -141,42 +141,36 @@ def cmd_all(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(g: CapacitatedGraph, pairs: list[QueryPair]) -> tuple[int, str | None]:
+def _verify_one(g: CapacitatedGraph, pairs) -> tuple[int, str | None]:
     """Cross-check one instance; (comparison count, first mismatch or None)."""
     oracle = preprocess(g, pairs)
     answers = {e: oracle.query_edge(e) for e in g.edge_ids()}
     checked = 0
-    for i, pair in enumerate(pairs):
-        analysis = PairAnalysis(g, pair.s, pair.t)
+    for i, (s, t) in enumerate(pairs.tolist()):
+        analysis, pair = PairAnalysis(g, s, t), f"pair ({s},{t})"
         if oracle.bottleneck_value(i) != analysis.bottleneck:
-            return checked, (f"bottleneck mismatch pair ({pair.s},{pair.t}): "
-                             f"fast {oracle.bottleneck_value(i)} "
+            return checked, (f"bottleneck mismatch {pair}: fast {oracle.bottleneck_value(i)} "
                              f"brute {analysis.bottleneck}")
         for e in g.edge_ids():
             fast = answers[e][i]
             ref = analysis.tolerances(e)
             checked += 1
             if fast != ref:
-                return checked, (f"tolerance mismatch edge {e} pair "
-                                 f"({pair.s},{pair.t}): fast {fast} brute {ref}")
+                return checked, f"tolerance mismatch edge {e} {pair}: fast {fast} brute {ref}"
             lower, upper = fast
             if lower != math.inf and upper != math.inf:
-                return checked, (f"both tolerances finite for edge {e} pair "
-                                 f"({pair.s},{pair.t}): {fast}")
+                return checked, f"both tolerances finite for edge {e} {pair}: {fast}"
             for tol, sign, side in ((lower, -1, "lower"), (upper, +1, "upper")):
                 if tol == math.inf:
                     continue
                 if tol <= 0:
-                    return checked, (f"non-positive finite {side} tolerance {tol} "
-                                     f"edge {e} pair ({pair.s},{pair.t})")
+                    return checked, f"non-positive finite {side} tolerance {tol} edge {e} {pair}"
                 if not analysis.still_optimal(e, sign * tol):
-                    return checked, (f"{side} tolerance {tol} of edge {e} pair "
-                                     f"({pair.s},{pair.t}) breaks optimality "
-                                     f"at the claimed-safe shift")
+                    return checked, (f"{side} tolerance {tol} of edge {e} {pair} breaks "
+                                     f"optimality at the claimed-safe shift")
                 if analysis.still_optimal(e, sign * (tol + 1)):
-                    return checked, (f"{side} tolerance {tol} of edge {e} pair "
-                                     f"({pair.s},{pair.t}) survives one past "
-                                     f"the claimed supremum")
+                    return checked, (f"{side} tolerance {tol} of edge {e} {pair} survives "
+                                     f"one past the claimed supremum")
     return checked, None
 
 
@@ -198,7 +192,7 @@ def cmd_verify(args) -> int:
             print(mismatch)
             print("graph:")
             sys.stdout.write(serialize_graph(g))
-            print(f"pairs: {[(p.s, p.t) for p in pairs]}")
+            print(f"pairs: {[*map(tuple, pairs.tolist())]}")
             return EXIT_INVALID
     print(f"instances {instances}")
     print(f"max_n {max_n}")

@@ -127,12 +127,6 @@ def _first_parallel(g: CapacitatedGraph) -> tuple[int, int] | None:
 
 
 @dataclass(frozen=True)
-class QueryPair:
-    s: VertexId
-    t: VertexId
-
-
-@dataclass(frozen=True)
 class Violation:
     """First violated validity property, with a witness.
 
@@ -171,8 +165,9 @@ def serialize_graph(g: CapacitatedGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_pairs(text: str | bytes, n: int) -> list[QueryPair]:
-    """Parse the pairs format: "k" header, then k lines "s t".
+def parse_pairs(text: str | bytes, n: int) -> np.ndarray:
+    """Parse the pairs format: "k" header, then k lines "s t", into a
+    read-only (k, 2) int64 array of (s, t) rows.
 
     Follows the line rules of :func:`parse_graph`.  s = t is rejected here
     (no path semantics exist for a pair with equal endpoints).
@@ -184,7 +179,8 @@ def parse_pairs(text: str | bytes, n: int) -> list[QueryPair]:
         raise ParseError(int(same[0]) + 2, f"source equals target ({rows[same[0], 0]})")
     if error is not None:
         raise error
-    return [*map(QueryPair, *rows.T.tolist())]
+    rows.flags.writeable = False
+    return rows
 
 
 def _header(text: str | bytes, names: str, noun: str) -> tuple[list[str], list[int]]:

@@ -1,8 +1,9 @@
 """Preprocess-once tolerance oracle for max-min (bottleneck) path queries.
 
-Given a validated graph and k source--target pairs, ``preprocess`` builds the
-maximum spanning tree, the rooted-tree index and the replacement tables.  The
-fixed optimal path for pair i is the tree path T(s_i, t_i); only its
+Given a validated graph and k source--target pairs, stored once as the
+read-only (k, 2) int64 array ``pairs`` of (s, t) rows, ``preprocess`` builds
+the maximum spanning tree, the rooted-tree index and the replacement tables.
+The fixed optimal path for pair i is the tree path T(s_i, t_i); only its
 minimum-capacity edge e*_i is stored, as ``bottleneck_edges[i]`` — the path
 itself is never materialized.
 
@@ -34,11 +35,11 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import CapacitatedGraph, QueryPair, capacity_ranks
+from .graphs import CapacitatedGraph, capacity_ranks
 from .mst import SpanningTree, build_max_spanning_tree
 from .replacement import ReplacementTables, build_replacement_tables
 from .tree_index import RootedTreeIndex, build_index
@@ -64,16 +65,14 @@ class ToleranceOracle:
 
     def __init__(self, graph: CapacitatedGraph, tree: SpanningTree,
                  index: RootedTreeIndex, tables: ReplacementTables,
-                 pairs: list[QueryPair]):
+                 pairs: np.ndarray):
         self.graph = graph
         self.tree = tree
         self.index = index
         self.tables = tables
-        self.pairs = tuple(pairs)
-        ss = np.array([p.s for p in self.pairs], dtype=np.int64)
-        ts = np.array([p.t for p in self.pairs], dtype=np.int64)
-        self._s_tin = index.tin_of(ss)
-        self._t_tin = index.tin_of(ts)
+        self.pairs = pairs
+        ss, ts = pairs.T
+        self._s_tin, self._t_tin = index.tin_of(pairs.T)
         #: e*_i, the minimum-capacity edge on the tree path of pair i
         self.bottleneck_edges = index.path_min_edge_batch(ss, ts)
         self.bottleneck_edges.flags.writeable = False
@@ -90,7 +89,8 @@ class ToleranceOracle:
         pair with a finite tolerance on edge e, in pair order; O(k).  Only one
         side can be finite: lower for a tree edge on the pair's path, upper
         for a non-tree edge whose U entry is the pair's e*."""
-        self._check_edge(e)
+        if not 1 <= e <= self.graph.m:
+            raise ValueError(f"edge id {e} out of range (m={self.graph.m})")
         cap_e = self._cap_u[e]
         if self.tree.is_tree_edge[e]:
             rep = self.tables.L[e]
@@ -115,27 +115,30 @@ class ToleranceOracle:
     def bottleneck_value(self, i: int) -> int:
         """b(s_i, t_i): the max over s_i--t_i paths of the path's min capacity."""
         if not 0 <= i < len(self.pairs):
-            raise IndexError(f"pair index {i} out of range (k={len(self.pairs)})")
+            raise ValueError(f"pair index {i} out of range (k={len(self.pairs)})")
         return int(self._estar_cap[i])
 
-    def _check_edge(self, e: int) -> None:
-        if not 1 <= e <= self.graph.m:
-            raise IndexError(f"edge id {e} out of range (m={self.graph.m})")
 
-
-def preprocess(g: CapacitatedGraph, pairs: list[QueryPair]) -> ToleranceOracle:
+def preprocess(g: CapacitatedGraph,
+               pairs: np.ndarray | Sequence[tuple[int, int]]) -> ToleranceOracle:
     """Build the oracle: MST, tree index, replacement tables, and each pair's
     bottleneck edge.
 
-    Accepts plain (s, t) tuples as well as QueryPair values.
+    ``pairs`` holds (s, t) rows, as tuples or a (k, 2) integer array, kept
+    as a read-only int64 view; a vertex id outside 1..n or s = t raises
+    ValueError, naming the first such pair.
     """
-    pairs = [p if isinstance(p, QueryPair) else QueryPair(p[0], p[1])
-             for p in pairs]
-    for p in pairs:
-        if not (1 <= p.s <= g.n and 1 <= p.t <= g.n):
-            raise ValueError(f"pair ({p.s}, {p.t}) out of range (n={g.n})")
-        if p.s == p.t:
-            raise ValueError(f"pair ({p.s}, {p.t}) has equal endpoints")
+    try:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    except OverflowError:
+        raise ValueError(f"pair vertex id out of range (n={g.n})") from None
+    pairs.flags.writeable = False
+    outside = ((pairs < 1) | (pairs > g.n)).any(axis=1)
+    bad = np.flatnonzero(outside | (pairs[:, 0] == pairs[:, 1]))
+    if len(bad):
+        s, t = pairs[bad[0]].tolist()
+        raise ValueError(f"pair ({s}, {t}) out of range (n={g.n})" if outside[bad[0]]
+                         else f"pair ({s}, {t}) has equal endpoints")
     rank = capacity_ranks(g)
     tree = build_max_spanning_tree(g)
     idx = build_index(tree, g, rank)

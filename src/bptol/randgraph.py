@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import CapacitatedGraph, QueryPair, first_unreached
+from .graphs import CapacitatedGraph, first_unreached
 
 
 def random_connected_graph(rng: random.Random, max_n: int) -> CapacitatedGraph:
@@ -45,18 +45,21 @@ def random_connected_graph(rng: random.Random, max_n: int) -> CapacitatedGraph:
     return CapacitatedGraph(n, edges)
 
 
-def sample_pairs(rng: random.Random, n: int, count: int) -> list[QueryPair]:
+def sample_pairs(rng: random.Random, n: int, count: int) -> np.ndarray:
     """Up to `count` distinct source-target pairs, uniform without replacement
-    at every n, each in random orientation.  Positions in the lexicographic
-    list of the pairs s < t are drawn without building it, and decoded in the
-    combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3)."""
+    at every n, each in random orientation, as a read-only (k, 2) int64 array
+    of (s, t) rows.  Positions in the lexicographic list of the pairs s < t
+    are drawn without building it, and decoded in the combinatorial number
+    system (Knuth, TAOCP 4A, 7.2.1.3)."""
     total = n * (n - 1) // 2
     pairs = []
     for i in rng.sample(range(total), min(count, total)):
         j = total - 1 - i  # counted back from the last pair (n-1, n)
         r = (math.isqrt(8 * j + 1) - 1) // 2  # the largest r with r(r+1)/2 <= j
         s, t = n - 1 - r, n - (j - r * (r + 1) // 2)
-        pairs.append(QueryPair(t, s) if rng.random() < 0.5 else QueryPair(s, t))
+        pairs.append((t, s) if rng.random() < 0.5 else (s, t))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs.flags.writeable = False
     return pairs
 
 

@@ -91,7 +91,7 @@ class RootedTreeIndex:
     def path_min_edge(self, s: int, t: int) -> int:
         """EdgeId with minimum capacity on the tree path s..t; O(1)."""
         if not (1 <= s <= self.n and 1 <= t <= self.n):
-            raise IndexError(f"vertex ids {s}, {t} out of range (n={self.n})")
+            raise ValueError(f"vertex ids {s}, {t} out of range (n={self.n})")
         if s == t:
             raise ValueError("path_min_edge requires two distinct endpoints")
         return int(self.path_min_edge_batch(np.array([s]), np.array([t]))[0])
@@ -114,7 +114,7 @@ class RootedTreeIndex:
     def depth(self, x: int) -> int:
         """Distance from the root; O(1)."""
         if not 1 <= x <= self.n:
-            raise IndexError(f"vertex id {x} out of range (n={self.n})")
+            raise ValueError(f"vertex id {x} out of range (n={self.n})")
         return int(self.depths[x])
 
     def on_path(self, e: int, s_tin: np.ndarray, t_tin: np.ndarray) -> np.ndarray:

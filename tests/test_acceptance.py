@@ -138,8 +138,8 @@ def test_criterion_5_perturbation_semantics():
         pairs = sample_pairs(rng, g.n, min(4, g.n * (g.n - 1) // 2))
         o = preprocess(g, pairs)
         answers = {e: o.query_edge(e) for e in range(1, g.m + 1)}
-        for i, p in enumerate(pairs):
-            analysis = PairAnalysis(g, p.s, p.t)
+        for i, (s, t) in enumerate(pairs.tolist()):
+            analysis = PairAnalysis(g, s, t)
             for e in range(1, g.m + 1):
                 lo, up = answers[e][i]
                 if lo is not INFINITY:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bptol import cli
+from bptol.reference import PairAnalysis
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +208,25 @@ def test_verify_small_run_passes():
     r = run_cli("verify", "5", "25", "7")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "result PASS" in r.stdout
+
+
+def test_verify_prints_the_first_counterexample(monkeypatch, capsys):
+    # A reference whose bottleneck is one too high fails the first pair; the
+    # report names the instance, the mismatch, the graph and the pairs as
+    # plain ints, so it can be pasted back into a test.
+    class OffByOne(PairAnalysis):
+        def __init__(self, g, s, t):
+            super().__init__(g, s, t)
+            self.bottleneck += 1
+
+    monkeypatch.setattr(cli, "PairAnalysis", OffByOne)
+    assert cli.main(["verify", "4", "1", "5"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL instance 0 seed 5\n"
+        "bottleneck mismatch pair (2,1): fast -4 brute -3\n"
+        "graph:\n"
+        "4 5\n2 4 -4\n2 3 -8\n3 4 0\n1 2 -12\n1 3 12\n"
+        "pairs: [(2, 1), (1, 3), (3, 2), (2, 4), (4, 3), (4, 1)]\n")
 
 
 def test_verify_takes_no_flag_spellings():

@@ -1,20 +1,23 @@
 """Tolerance oracle: preprocessing, the O(k) query kernel, invariants."""
 
 import random
+import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from bptol.graphs import (
     CapacitatedGraph,
-    QueryPair,
     diamond_example,
     parse_pairs,
     single_edge_example,
     triangle_example,
 )
 from bptol.oracle import INFINITY, EdgeTolerances, preprocess
-from bptol.randgraph import all_connected_graphs, random_connected_graph, sample_pairs
+from bptol.randgraph import (all_connected_graphs, random_benchmark_graph,
+                             random_connected_graph, sample_pairs)
 from bptol.reference import PairAnalysis
 
 from naive import naive_tolerances
@@ -25,7 +28,8 @@ INF = INFINITY
 def test_preprocess_contexts():
     # Each pair's bottleneck edge e* is stored once, as a read-only column.
     o = preprocess(diamond_example(), [(1, 4)])
-    assert o.pairs == (QueryPair(1, 4),)
+    assert o.pairs.tolist() == [[1, 4]]
+    assert o.pairs.dtype == np.int64 and not o.pairs.flags.writeable
     assert o.bottleneck_edges.tolist() == [3]
     assert o.bottleneck_value(0) == 6
     assert type(o.bottleneck_value(0)) is int  # an int64 would wrap in arithmetic
@@ -78,27 +82,34 @@ def test_query_edge_maps_over_pairs():
 
 
 def test_out_of_range_arguments():
+    # Every public entry point raises ValueError for an id out of range, so
+    # one `except ValueError` guards them all.
+    with pytest.raises(ValueError):
+        CapacitatedGraph(3, [(1, 2, 2), (2, 4, 3)])
     o = preprocess(triangle_example(), [(1, 3)])
-    with pytest.raises(IndexError):
-        o.query_edge(0)
-    with pytest.raises(IndexError):
-        o.query_edge(4)
-    with pytest.raises(IndexError):
-        o.finite_entries(4)
-    with pytest.raises(IndexError):
-        o.bottleneck_value(1)
-    with pytest.raises(IndexError):
-        o.bottleneck_value(-1)
-    with pytest.raises(IndexError):
-        o.bottleneck_value(5)
+    for e in (0, 4, -1):
+        with pytest.raises(ValueError):
+            o.query_edge(e)
+        with pytest.raises(ValueError):
+            o.finite_entries(e)
+    for i in (1, -1, 5):
+        with pytest.raises(ValueError):
+            o.bottleneck_value(i)
     # vertex ids outside 1..n, which numpy would otherwise wrap or accept
-    idx = preprocess(diamond_example(), [(1, 4)]).index
+    g = diamond_example()
+    idx = preprocess(g, [(1, 4)]).index
     for s, t in ((0, 3), (-1, 3), (3, -1), (3, 5)):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             idx.path_min_edge(s, t)
+        with pytest.raises(ValueError):
+            preprocess(g, [(s, t)])
     for x in (0, -1, 5):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             idx.depth(x)
+    tins = idx.tin_of(np.array([1, 4]))
+    for e in (0, -1, 6):
+        with pytest.raises(ValueError):
+            idx.on_path(e, tins[:1], tins[1:])
 
 
 def test_preprocess_rejects_invalid_pairs():
@@ -109,6 +120,44 @@ def test_preprocess_rejects_invalid_pairs():
         preprocess(g, [(0, 2)])
     with pytest.raises(ValueError):
         preprocess(g, [(1, 4)])
+    with pytest.raises(ValueError):  # np.asarray alone raises OverflowError
+        preprocess(g, [(1, 2**70)])
+    with pytest.raises(ValueError):
+        preprocess(g, [(-2**70, 1)])
+    # the column checks name the first bad pair, as the per-pair loop does
+    rng = random.Random(5)
+    for _ in range(300):
+        pairs = [(rng.randint(-1, 4), rng.randint(-1, 4)) for _ in range(rng.randint(1, 4))]
+        messages = [f"pair ({s}, {t}) out of range (n=3)" if not (1 <= s <= 3 and 1 <= t <= 3)
+                    else f"pair ({s}, {t}) has equal endpoints"
+                    for s, t in pairs if not (1 <= s <= 3 and 1 <= t <= 3 and s != t)]
+        if messages:
+            with pytest.raises(ValueError, match=re.escape(messages[0])):
+                preprocess(g, pairs)
+        else:
+            assert preprocess(g, pairs).pairs.tolist() == [list(p) for p in pairs]
+
+
+def test_pair_side_of_preprocess_holds_no_per_pair_objects():
+    # The 200k parsed pairs are one 3.2 MB int64 array.  What preprocess adds
+    # is a few k-length int64 columns and their temporaries (16.2 MB peak on
+    # numpy 2.4); one Python object per pair took the peak to 22.4 MB.  With
+    # no pairs the peak is 1.35 MB.
+    n, k = 2000, 200_000
+    g = random_benchmark_graph(n, 8000, seed=3)
+    gen = np.random.default_rng(1)
+    s = gen.integers(1, n + 1, size=k)
+    t = (s + gen.integers(1, n, size=k) - 1) % n + 1  # never s
+    text = "".join(f"{a} {b}\n" for a, b in zip(s.tolist(), t.tolist()))
+    pairs = parse_pairs(f"{k}\n{text}", n)
+    tracemalloc.start()
+    try:
+        o = preprocess(g, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(o.pairs, pairs)  # kept, not copied
+    assert peak < 19_000_000
 
 
 def test_no_pairs_is_allowed():
@@ -125,7 +174,7 @@ def test_query_purity():
 
 
 def _check_kernel(o, g, pairs):
-    expected = [naive_tolerances(g, o.tree, p.s, p.t) for p in pairs]
+    expected = [naive_tolerances(g, o.tree, s, t) for s, t in pairs.tolist()]
     for e in range(1, g.m + 1):
         want = [per_edge[e] for per_edge in expected]
         got = o.query_edge(e)
@@ -230,12 +279,12 @@ def test_parallel_queries_agree_with_serial():
 def _assert_matches_reference(g, pairs, o):
     answers = {e: o.query_edge(e) for e in range(1, g.m + 1)}
     checked = 0
-    for i, p in enumerate(pairs):
-        analysis = PairAnalysis(g, p.s, p.t)
+    for i, (s, t) in enumerate(pairs.tolist()):
+        analysis = PairAnalysis(g, s, t)
         for e in range(1, g.m + 1):
             expected = analysis.tolerances(e)
             got = answers[e][i]
-            assert got == expected, (g.n, g.m, p.s, p.t, e, got, expected)
+            assert got == expected, (g.n, g.m, s, t, e, got, expected)
             lo, up = got
             if lo is not INF:
                 assert lo > 0

@@ -159,19 +159,19 @@ def test_finite_values_agree_across_witnesses():
     checked = 0
     for _ in range(60):
         g = random_connected_graph(rng, 7)
-        for p in sample_pairs(rng, g.n, 2):
-            witnesses = _optimal_witnesses(g, p.s, p.t)
+        for s, t in sample_pairs(rng, g.n, 2).tolist():
+            witnesses = _optimal_witnesses(g, s, t)
             for e in range(1, g.m + 1):
                 lows = set()
                 ups = set()
                 for w in witnesses:
-                    lo, up = brute_tolerances(g, p.s, p.t, e, witness=w)
+                    lo, up = brute_tolerances(g, s, t, e, witness=w)
                     if lo != INF:
                         lows.add(lo)
                     if up != INF:
                         ups.add(up)
-                assert len(lows) <= 1, (g, p, e, lows)
-                assert len(ups) <= 1, (g, p, e, ups)
+                assert len(lows) <= 1, (g, s, t, e, lows)
+                assert len(ups) <= 1, (g, s, t, e, ups)
                 checked += 1
     assert checked > 500
 
@@ -180,10 +180,10 @@ def test_pair_analysis_matches_one_shot_helper():
     rng = random.Random(777)
     for _ in range(30):
         g = random_connected_graph(rng, 7)
-        p = sample_pairs(rng, g.n, 1)[0]
-        analysis = PairAnalysis(g, p.s, p.t)
+        (s, t), = sample_pairs(rng, g.n, 1).tolist()
+        analysis = PairAnalysis(g, s, t)
         for e in range(1, g.m + 1):
-            assert analysis.tolerances(e) == brute_tolerances(g, p.s, p.t, e)
+            assert analysis.tolerances(e) == brute_tolerances(g, s, t, e)
 
 
 def test_still_optimal_agrees_with_recomputation():
@@ -192,8 +192,8 @@ def test_still_optimal_agrees_with_recomputation():
     rng = random.Random(888)
     for _ in range(40):
         g = random_connected_graph(rng, 6)
-        p = sample_pairs(rng, g.n, 1)[0]
-        analysis = PairAnalysis(g, p.s, p.t)
+        (s, t), = sample_pairs(rng, g.n, 1).tolist()
+        analysis = PairAnalysis(g, s, t)
         witness = analysis.witness
         for e in range(1, g.m + 1):
             for delta in (-5, -1, 0, 1, 5):
@@ -203,7 +203,7 @@ def test_still_optimal_agrees_with_recomputation():
                     for i in range(1, g.m + 1)
                 ]
                 perturbed = CapacitatedGraph(g.n, edges)
-                ps = enumerate_simple_paths(perturbed, p.s, p.t)
+                ps = enumerate_simple_paths(perturbed, s, t)
                 optimum = max(ps.bottlenecks)
                 w_min = min(
                     perturbed.edge_cap[perturbed.edge_between(a, b)]
