@@ -32,7 +32,7 @@ for s in range(1, g.n + 1):
     for t in range(s + 1, g.n + 1):
         e = idx.path_min_edge(s, t)
         tree_value = g.capacity(e)
-        best = max(enumerate_simple_paths(g, s, t).bottlenecks)
+        best = max(b for _, b in enumerate_simple_paths(g, s, t))
         assert tree_value == best
         print(f"  b({s},{t}) = {tree_value:4d}   critical edge {e}")
 

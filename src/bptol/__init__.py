@@ -16,9 +16,8 @@ from .replacement import (ReplacementTables, build_replacement_tables,
                           compute_upper_replacements)
 from .oracle import (INFINITY, EdgeTolerances, Tolerance, ToleranceOracle,
                      preprocess)
-from .reference import (PairAnalysis, PathSet, brute_bottleneck,
-                        brute_max_spanning_tree, brute_tolerances,
-                        check_perturbation, enumerate_simple_paths)
+from .reference import (PairAnalysis, brute_max_spanning_tree,
+                        enumerate_simple_paths)
 from .randgraph import (all_connected_graphs, random_benchmark_graph,
                         random_connected_graph, random_query_edges,
                         sample_pairs)
@@ -35,8 +34,7 @@ __all__ = [
     "ReplacementTables", "build_replacement_tables",
     "compute_upper_replacements", "compute_lower_replacements",
     "INFINITY", "EdgeTolerances", "Tolerance", "ToleranceOracle", "preprocess",
-    "PairAnalysis", "PathSet", "brute_bottleneck", "brute_max_spanning_tree",
-    "brute_tolerances", "check_perturbation", "enumerate_simple_paths",
+    "PairAnalysis", "brute_max_spanning_tree", "enumerate_simple_paths",
     "all_connected_graphs", "random_benchmark_graph",
     "random_connected_graph", "random_query_edges", "sample_pairs",
     "__version__",

@@ -27,7 +27,7 @@ EdgeId = int
 
 #: Largest n for which every endpoint key lo*(n+1)+hi fits in int64.
 MAX_VERTICES = math.isqrt(2**63) - 1
-CHUNK = 1 << 13  # edges per batch converted to Python ints or sent to one call
+CHUNK = 1 << 13  # edges or pairs per batch converted to Python ints or sent to one call
 
 
 class ParseError(ValueError):

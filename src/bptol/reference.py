@@ -7,12 +7,12 @@ The fixed optimal path S* is the s-t path of the unique maximum spanning
 tree, recomputed here by reverse-delete so that no code is shared with the
 Kruskal-based production pipeline.
 
-Two independent readings of "tolerance" are provided:
+``PairAnalysis`` enumerates once per pair and gives two independent
+readings of "tolerance":
 
-* formula evaluation over path sets (``brute_tolerances``), and
-* the sup-definition, probed by explicitly perturbing one capacity and
-  checking whether S* still attains the perturbed optimum
-  (``check_perturbation``).
+* formula evaluation over path sets (``tolerances``), and
+* the sup-definition, probed by perturbing one capacity and checking
+  whether S* still attains the perturbed optimum (``still_optimal``).
 
 Conventions: a minimum over an empty edge set is +inf (a two-vertex direct
 path keeps being optimal under arbitrary increases of its only edge exactly
@@ -27,10 +27,9 @@ realizes) demands the former.  See the G2/f4 regression test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .graphs import CapacitatedGraph
-from .oracle import EdgeTolerances, Tolerance
+from .oracle import EdgeTolerances
 
 # The guard is on n, but enumeration cost grows with the number of simple
 # paths, i.e. with m: one dense graph at n=12, m=56 took ~114 s for four
@@ -38,21 +37,9 @@ from .oracle import EdgeTolerances, Tolerance
 MAX_ENUMERATION_N = 12
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """All simple s-t paths of a graph, as vertex sequences, with bottlenecks."""
-
-    paths: list[tuple[int, ...]]
-    bottlenecks: list[int]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
-def _check_enumerable(g: CapacitatedGraph, s: int, t: int, max_n: int) -> None:
-    if g.n > max_n:
-        raise ValueError(
-            f"refusing to enumerate paths on n={g.n} > {max_n} vertices")
+def _check_enumerable(g: CapacitatedGraph, s: int, t: int) -> None:
+    if g.n > MAX_ENUMERATION_N:
+        raise ValueError(f"refusing to enumerate paths on {g.n} > {MAX_ENUMERATION_N} vertices")
     if not (1 <= s <= g.n and 1 <= t <= g.n):
         raise ValueError(f"vertex out of range: ({s}, {t})")
     if s == t:
@@ -97,16 +84,11 @@ def _walk_paths(g: CapacitatedGraph, s: int, t: int):
     yield from recurse(s, math.inf)
 
 
-def enumerate_simple_paths(g: CapacitatedGraph, s: int, t: int,
-                           max_n: int = MAX_ENUMERATION_N) -> PathSet:
-    """Exhaustive DFS over simple s-t paths; refuses when n exceeds max_n."""
-    _check_enumerable(g, s, t, max_n)
-    paths = []
-    bottlenecks = []
-    for verts, _, bottleneck in _walk_paths(g, s, t):
-        paths.append(verts)
-        bottlenecks.append(int(bottleneck))
-    return PathSet(paths=paths, bottlenecks=bottlenecks)
+def enumerate_simple_paths(g: CapacitatedGraph, s: int, t: int
+                           ) -> list[tuple[tuple[int, ...], int]]:
+    """(vertices, bottleneck) of every simple s-t path, by exhaustive DFS."""
+    _check_enumerable(g, s, t)
+    return [(verts, int(bottleneck)) for verts, _, bottleneck in _walk_paths(g, s, t)]
 
 
 # -- independent maximum spanning tree (reverse-delete) ----------------------
@@ -168,39 +150,24 @@ def _path_edges(g: CapacitatedGraph, verts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def brute_bottleneck(g: CapacitatedGraph, s: int, t: int,
-                     max_n: int = MAX_ENUMERATION_N
-                     ) -> tuple[int, tuple[int, ...]]:
-    """(b(s,t), witness path) by full enumeration.
-
-    The witness is the s-t path of the maximum spanning tree — one particular
-    argmax, fixed so that downstream tolerance checks all talk about the same
-    optimal path.
-    """
-    ps = enumerate_simple_paths(g, s, t, max_n)
-    value = max(ps.bottlenecks)
-    witness = _tree_path(g, brute_max_spanning_tree(g), s, t)
-    w_min = min(g.capacity(e) for e in _path_edges(g, witness))
-    assert w_min == value, "tree path is not a bottleneck optimum"
-    return value, witness
-
-
 # -- per-pair analysis -------------------------------------------------------
 
 class PairAnalysis:
     """One enumeration pass for a fixed (s, t); O(1) tolerance/perturbation
     checks per edge afterwards.
 
-    Stores, per edge e: the number of s-t paths through e, the best
-    bottleneck among paths avoiding e, and the best min-excluding-e among
-    paths through e.  Together with the fixed witness path these aggregates
-    determine every tolerance and every single-edge perturbation outcome.
+    ``bottleneck`` is b(s,t) and ``witness`` the fixed optimal path as a
+    vertex tuple: the s-t path of the maximum spanning tree unless one is
+    passed in, which must itself be optimal.  Stores, per edge e: the number
+    of s-t paths through e, the best bottleneck among paths avoiding e, and
+    the best min-excluding-e among paths through e.  Together with the
+    witness these aggregates determine every tolerance and every single-edge
+    perturbation outcome.
     """
 
     def __init__(self, g: CapacitatedGraph, s: int, t: int,
-                 max_n: int = MAX_ENUMERATION_N,
                  witness: tuple[int, ...] | None = None):
-        _check_enumerable(g, s, t, max_n)
+        _check_enumerable(g, s, t)
         self.g = g
         self.s = s
         self.t = t
@@ -252,8 +219,14 @@ class PairAnalysis:
         self._avoid_cache[e] = value
         return value
 
+    def _check_edge(self, e: int) -> None:
+        if not 1 <= e <= self.g.m:
+            raise ValueError(f"edge id {e} out of range (m={self.g.m})")
+
     def tolerances(self, e: int) -> EdgeTolerances:
-        """Statement-style formula evaluation w.r.t. the fixed witness."""
+        """(lower, upper) of edge e by formula evaluation w.r.t. the fixed
+        witness; ValueError for an edge id outside 1..m."""
+        self._check_edge(e)
         if e in self._w_edge_set:
             avoid = self._best_avoiding(e)
             if avoid == -math.inf:
@@ -265,7 +238,11 @@ class PairAnalysis:
         return EdgeTolerances(math.inf, math.inf)
 
     def still_optimal(self, e: int, delta: int) -> bool:
-        """Does the witness attain the optimum after c(e) += delta?"""
+        """Does the witness attain the optimum after c(e) += delta?  Injectivity
+        may break in the perturbed graph; only value attainment is checked,
+        which is exactly the sup-definition's criterion.  ValueError for an
+        edge id outside 1..m."""
+        self._check_edge(e)
         perturbed = self._cap[e] + delta
         if e in self._w_edge_set:
             excl = self._w_min2 if e == self._w_argmin else self._w_min
@@ -276,27 +253,3 @@ class PairAnalysis:
         optimum = max(self._best_avoiding(e), through)
         return witness_value == optimum
 
-
-def brute_tolerances(g: CapacitatedGraph, s: int, t: int, e: int,
-                     max_n: int = MAX_ENUMERATION_N,
-                     witness: tuple[int, ...] | None = None) -> EdgeTolerances:
-    """(lower, upper) of edge e w.r.t. the fixed optimal path, by enumeration.
-
-    ``witness`` overrides the default tree-path optimum; it must itself be an
-    optimal path (used by tests probing witness-independence).
-    """
-    if not 1 <= e <= g.m:
-        raise ValueError(f"edge id {e} out of range (m={g.m})")
-    return PairAnalysis(g, s, t, max_n, witness).tolerances(e)
-
-
-def check_perturbation(g: CapacitatedGraph, s: int, t: int, e: int, delta: int,
-                       max_n: int = MAX_ENUMERATION_N) -> bool:
-    """True iff the fixed witness path still attains b(s,t) after c(e)+=delta.
-
-    Injectivity may break in the perturbed graph; only value attainment is
-    checked, which is exactly the sup-definition's criterion.
-    """
-    if not 1 <= e <= g.m:
-        raise ValueError(f"edge id {e} out of range (m={g.m})")
-    return PairAnalysis(g, s, t, max_n).still_optimal(e, delta)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import CapacitatedGraph
+from .graphs import CHUNK, CapacitatedGraph
 from .mst import SpanningTree
 
 
@@ -90,25 +90,29 @@ class RootedTreeIndex:
 
     def path_min_edge(self, s: int, t: int) -> int:
         """EdgeId with minimum capacity on the tree path s..t; O(1)."""
-        if not (1 <= s <= self.n and 1 <= t <= self.n):
-            raise ValueError(f"vertex ids {s}, {t} out of range (n={self.n})")
         if s == t:
             raise ValueError("path_min_edge requires two distinct endpoints")
-        return int(self.path_min_edge_batch(np.array([s]), np.array([t]))[0])
+        return int(self.path_min_edge_batch([s], [t])[0])
 
     def path_min_edge_batch(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Vectorized path_min_edge; entries with ss == ts yield sentinel 0.
+        """Vectorized path_min_edge; entries with ss == ts yield sentinel 0,
+        and a vertex id outside 1..n raises ValueError.  Works CHUNK pairs at
+        a time into one output, so the temporaries do not grow with the batch.
 
         The path's junctions are chain positions lo..hi-1, covered by two
         windows of 2^j junctions, 2^j the largest power of two not above hi-lo."""
-        ps, pt = self._pos[ss], self._pos[ts]
-        lo, hi = np.minimum(ps, pt), np.maximum(ps, pt)
-        live = hi > lo  # the other paths have no junction and keep edge 0
-        lo, hi = lo[live], hi[live]
-        j = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact below 2^53
-        best = np.minimum(self._table[j, lo], self._table[j, hi - (1 << j)])
-        edges = np.zeros_like(ps)
-        edges[live] = self._graph.capacity_order[best]
+        for xs in (ss, ts):
+            if len(xs) and not (1 <= np.min(xs) and np.max(xs) <= self.n):
+                raise ValueError(f"vertex ids out of range (n={self.n})")
+        edges = np.zeros(len(ss), dtype=np.int64)
+        for at in range(0, len(ss), CHUNK):
+            ps, pt = self._pos[ss[at:at + CHUNK]], self._pos[ts[at:at + CHUNK]]
+            lo, hi = np.minimum(ps, pt), np.maximum(ps, pt)
+            live = np.flatnonzero(hi > lo)  # the other paths have no junction: edge 0
+            lo, hi = lo[live], hi[live]
+            j = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact below 2^53
+            best = np.minimum(self._table[j, lo], self._table[j, hi - (1 << j)])
+            edges[at + live] = self._graph.capacity_order[best]
         return edges
 
     def depth(self, x: int) -> int:

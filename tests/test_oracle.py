@@ -103,6 +103,16 @@ def test_out_of_range_arguments():
             idx.path_min_edge(s, t)
         with pytest.raises(ValueError):
             preprocess(g, [(s, t)])
+        with pytest.raises(ValueError):  # numpy would read -1 as vertex 4
+            idx.path_min_edge_batch(np.array([1, s]), np.array([4, t]))
+    empty = np.array([], dtype=np.int64)
+    assert idx.path_min_edge_batch(empty, empty).tolist() == []
+    analysis = PairAnalysis(g, 1, 4)
+    for e in (0, g.m + 1):
+        with pytest.raises(ValueError):
+            analysis.tolerances(e)
+        with pytest.raises(ValueError):
+            analysis.still_optimal(e, 1)
     for x in (0, -1, 5):
         with pytest.raises(ValueError):
             idx.depth(x)
@@ -140,9 +150,10 @@ def test_preprocess_rejects_invalid_pairs():
 
 def test_pair_side_of_preprocess_holds_no_per_pair_objects():
     # The 200k parsed pairs are one 3.2 MB int64 array.  What preprocess adds
-    # is a few k-length int64 columns and their temporaries (16.2 MB peak on
-    # numpy 2.4); one Python object per pair took the peak to 22.4 MB.  With
-    # no pairs the peak is 1.35 MB.
+    # is a few k-length int64 columns and the path-minimum batch's
+    # CHUNK-sized temporaries (7.1 MB peak on numpy 2.4); one Python object
+    # per pair took the peak to 22.4 MB, and one unchunked batch to 16.2 MB.
+    # With no pairs the peak is 1.35 MB.
     n, k = 2000, 200_000
     g = random_benchmark_graph(n, 8000, seed=3)
     gen = np.random.default_rng(1)
@@ -157,7 +168,27 @@ def test_pair_side_of_preprocess_holds_no_per_pair_objects():
     finally:
         tracemalloc.stop()
     assert np.shares_memory(o.pairs, pairs)  # kept, not copied
-    assert peak < 19_000_000
+    assert peak < 10_000_000
+
+
+def test_path_min_edge_batch_temporaries_stay_bounded():
+    # The 200k-pair answer is a 1.6 MB int64 column; the temporaries are
+    # CHUNK pairs long (2.3 MB peak in all on numpy 2.4), where one
+    # unchunked batch peaked at 12.3 MB.
+    n, k = 2000, 200_000
+    idx = preprocess(random_benchmark_graph(n, 8000, seed=3), []).index
+    gen = np.random.default_rng(2)
+    ss, ts = gen.integers(1, n + 1, size=(2, k))
+    tracemalloc.start()
+    try:
+        edges = idx.path_min_edge_batch(ss, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+    for j in range(0, k, 9973):
+        s, t = int(ss[j]), int(ts[j])
+        assert edges[j] == (0 if s == t else idx.path_min_edge(s, t))
 
 
 def test_no_pairs_is_allowed():

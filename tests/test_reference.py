@@ -17,10 +17,7 @@ from bptol.randgraph import random_connected_graph, sample_pairs
 from bptol.reference import (
     MAX_ENUMERATION_N,
     PairAnalysis,
-    brute_bottleneck,
     brute_max_spanning_tree,
-    brute_tolerances,
-    check_perturbation,
     enumerate_simple_paths,
 )
 
@@ -38,9 +35,8 @@ def test_enumeration_rejects_large_graphs():
     g = CapacitatedGraph(n, [(i, i + 1, i) for i in range(1, n)])
     with pytest.raises(ValueError):
         enumerate_simple_paths(g, 1, n)
-    # Explicit opt-in raises the ceiling.
-    ps = enumerate_simple_paths(g, 1, n, max_n=n)
-    assert len(ps) == 1
+    with pytest.raises(ValueError):
+        PairAnalysis(g, 1, n)
 
 
 def test_enumeration_rejects_bad_endpoints():
@@ -52,47 +48,47 @@ def test_enumeration_rejects_bad_endpoints():
 
 
 def test_brute_bottleneck_fixtures():
-    value, witness = brute_bottleneck(triangle_example(), 1, 3)
-    assert value == 3
-    assert witness == (1, 2, 3)
+    analysis = PairAnalysis(triangle_example(), 1, 3)
+    assert analysis.bottleneck == 3
+    assert analysis.witness == (1, 2, 3)
 
-    value, witness = brute_bottleneck(diamond_example(), 1, 4)
-    assert value == 6
-    assert witness == (1, 2, 3, 4)
+    analysis = PairAnalysis(diamond_example(), 1, 4)
+    assert analysis.bottleneck == 6
+    assert analysis.witness == (1, 2, 3, 4)
 
-    value, witness = brute_bottleneck(single_edge_example(), 1, 2)
-    assert value == 7
-    assert witness == (1, 2)
+    analysis = PairAnalysis(single_edge_example(), 1, 2)
+    assert analysis.bottleneck == 7
+    assert analysis.witness == (1, 2)
 
 
 def test_brute_tolerances_fixtures():
-    g = triangle_example()
-    assert brute_tolerances(g, 1, 3, 2) == (2, INF)
-    assert brute_tolerances(g, 1, 3, 3) == (INF, 2)
-    assert brute_tolerances(g, 1, 3, 1) == (4, INF)
+    analysis = PairAnalysis(triangle_example(), 1, 3)
+    assert analysis.tolerances(2) == (2, INF)
+    assert analysis.tolerances(3) == (INF, 2)
+    assert analysis.tolerances(1) == (4, INF)
 
-    g2 = diamond_example()
-    assert brute_tolerances(g2, 1, 4, 3) == (4, INF)
-    assert brute_tolerances(g2, 1, 4, 5) == (INF, 4)
+    analysis = PairAnalysis(diamond_example(), 1, 4)
+    assert analysis.tolerances(3) == (4, INF)
+    assert analysis.tolerances(5) == (INF, 4)
 
 
 def test_brute_tolerances_rejects_bad_edge():
-    g = triangle_example()
+    analysis = PairAnalysis(triangle_example(), 1, 3)
     with pytest.raises(ValueError):
-        brute_tolerances(g, 1, 3, 0)
+        analysis.tolerances(0)
     with pytest.raises(ValueError):
-        brute_tolerances(g, 1, 3, 4)
+        analysis.tolerances(4)
 
 
 def test_check_perturbation_fixture():
-    g = triangle_example()
+    analysis = PairAnalysis(triangle_example(), 1, 3)
     # Lower tolerance of the bottleneck edge for (1,3) is 2.
-    assert check_perturbation(g, 1, 3, 2, 0) is True
-    assert check_perturbation(g, 1, 3, 2, -2) is True
-    assert check_perturbation(g, 1, 3, 2, -3) is False
+    assert analysis.still_optimal(2, 0) is True
+    assert analysis.still_optimal(2, -2) is True
+    assert analysis.still_optimal(2, -3) is False
     # Upper tolerance of the off-path edge 3 is 2.
-    assert check_perturbation(g, 1, 3, 3, 2) is True
-    assert check_perturbation(g, 1, 3, 3, 3) is False
+    assert analysis.still_optimal(3, 2) is True
+    assert analysis.still_optimal(3, 3) is False
 
 
 def test_reverse_delete_matches_kruskal():
@@ -107,9 +103,9 @@ def test_reverse_delete_matches_kruskal():
 def test_single_path_graph_has_unbounded_drops():
     # On a path graph every edge is essential: no detour exists, so
     # capacity decreases never dethrone the only path.
-    g = CapacitatedGraph(4, [(1, 2, 9), (2, 3, 4), (3, 4, 6)])
+    analysis = PairAnalysis(CapacitatedGraph(4, [(1, 2, 9), (2, 3, 4), (3, 4, 6)]), 1, 4)
     for e in (1, 2, 3):
-        assert brute_tolerances(g, 1, 4, e) == (INF, INF)
+        assert analysis.tolerances(e) == (INF, INF)
 
 
 def test_off_path_edge_capped_by_its_detours():
@@ -119,12 +115,11 @@ def test_off_path_edge_capped_by_its_detours():
     # the fixed path: both tolerances are unbounded, even though a finite
     # "difference to the bottleneck" might seem like the obvious answer.
     g = diamond_example()
-    assert brute_tolerances(g, 1, 4, 4) == (INF, INF)
-    # Three-way agreement with the fast oracle.
-    o = preprocess(g, [(1, 4)])
-    assert o.query_edge(4) == [(INF, INF)]
     analysis = PairAnalysis(g, 1, 4)
     assert analysis.tolerances(4) == (INF, INF)
+    # Agreement with the fast oracle.
+    o = preprocess(g, [(1, 4)])
+    assert o.query_edge(4) == [(INF, INF)]
 
 
 FORK = CapacitatedGraph(
@@ -138,20 +133,20 @@ def test_classification_depends_on_witness_path():
     # second, and its lower tolerance is finite only when the first is the
     # fixed path.  Finite *values* never disagree between witnesses; which
     # side is finite can.
-    value, witness = brute_bottleneck(FORK, 1, 4)
-    assert value == 5
-    assert witness == (1, 2, 3, 5, 4)  # the spanning-tree route
-    assert brute_tolerances(FORK, 1, 4, 3) == (INF, INF)
-    assert brute_tolerances(FORK, 1, 4, 3, witness=(1, 2, 3, 4)) == (1, INF)
+    analysis = PairAnalysis(FORK, 1, 4)
+    assert analysis.bottleneck == 5
+    assert analysis.witness == (1, 2, 3, 5, 4)  # the spanning-tree route
+    assert analysis.tolerances(3) == (INF, INF)
+    assert PairAnalysis(FORK, 1, 4, witness=(1, 2, 3, 4)).tolerances(3) == (1, INF)
     # The fast oracle answers for the same pinned witness as the default.
     o = preprocess(FORK, [(1, 4)])
     assert o.query_edge(3) == [(INF, INF)]
 
 
 def _optimal_witnesses(g, s, t):
-    ps = enumerate_simple_paths(g, s, t)
-    best = max(ps.bottlenecks)
-    return [p for p, b in zip(ps.paths, ps.bottlenecks) if b == best]
+    paths = enumerate_simple_paths(g, s, t)
+    best = max(b for _, b in paths)
+    return [p for p, b in paths if b == best]
 
 
 def test_finite_values_agree_across_witnesses():
@@ -160,12 +155,13 @@ def test_finite_values_agree_across_witnesses():
     for _ in range(60):
         g = random_connected_graph(rng, 7)
         for s, t in sample_pairs(rng, g.n, 2).tolist():
-            witnesses = _optimal_witnesses(g, s, t)
+            analyses = [PairAnalysis(g, s, t, witness=w)
+                        for w in _optimal_witnesses(g, s, t)]
             for e in range(1, g.m + 1):
                 lows = set()
                 ups = set()
-                for w in witnesses:
-                    lo, up = brute_tolerances(g, s, t, e, witness=w)
+                for analysis in analyses:
+                    lo, up = analysis.tolerances(e)
                     if lo != INF:
                         lows.add(lo)
                     if up != INF:
@@ -174,16 +170,6 @@ def test_finite_values_agree_across_witnesses():
                 assert len(ups) <= 1, (g, s, t, e, ups)
                 checked += 1
     assert checked > 500
-
-
-def test_pair_analysis_matches_one_shot_helper():
-    rng = random.Random(777)
-    for _ in range(30):
-        g = random_connected_graph(rng, 7)
-        (s, t), = sample_pairs(rng, g.n, 1).tolist()
-        analysis = PairAnalysis(g, s, t)
-        for e in range(1, g.m + 1):
-            assert analysis.tolerances(e) == brute_tolerances(g, s, t, e)
 
 
 def test_still_optimal_agrees_with_recomputation():
@@ -203,8 +189,7 @@ def test_still_optimal_agrees_with_recomputation():
                     for i in range(1, g.m + 1)
                 ]
                 perturbed = CapacitatedGraph(g.n, edges)
-                ps = enumerate_simple_paths(perturbed, s, t)
-                optimum = max(ps.bottlenecks)
+                optimum = max(b for _, b in enumerate_simple_paths(perturbed, s, t))
                 w_min = min(
                     perturbed.edge_cap[perturbed.edge_between(a, b)]
                     for a, b in zip(witness, witness[1:])
