@@ -45,13 +45,9 @@ BENCH_DEFAULTS = (100_000, 500_000, 1_000, 100_000, 7)
 PAIRS_PER_VERIFY_INSTANCE = 6
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_validated(graph_path: str, break_ties: bool) -> CapacitatedGraph:
     """Parse + validate or raise; ParseError and Violation map to exit 1."""
-    g = parse_graph(_read_text(graph_path))
+    g = parse_graph(Path(graph_path).read_bytes())
     violation = validate(g, allow_equal_capacities=break_ties)
     if violation is not None:
         raise _ValidationFailure(violation.message)
@@ -62,7 +58,7 @@ def _load_oracle(args) -> ToleranceOracle:
     """The oracle for ``serve`` and ``all``: the validated graph, preprocessed
     with its pairs file."""
     g = _load_validated(args.graph, args.break_ties)
-    return preprocess(g, parse_pairs(_read_text(args.pairs), g.n))
+    return preprocess(g, parse_pairs(Path(args.pairs).read_bytes(), g.n))
 
 
 class _ValidationFailure(Exception):

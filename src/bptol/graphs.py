@@ -8,13 +8,16 @@ accessors return Python ints, because int64 arithmetic wraps silently, and
 graph is only a container here — :func:`validate` decides whether it
 satisfies the contract the rest of the library relies on (simple, connected,
 pairwise-distinct capacities).  Validation works on whole columns.  Graph and
-pairs files share one reader: np.loadtxt converts their lines in bulk, and
-only when it refuses them does a scan with int() decide line by line what is
-accepted, naming the first bad line.
+pairs files share one reader: np.loadtxt converts their bytes in bulk, with
+no list of lines.  Input that is not ASCII, holds a line end only
+str.splitlines() knows (CR, VT, FF, 0x1c-0x1e), lacks one LF per promised line
+or promises none, and any that np.loadtxt refuses, goes to a scan with int()
+over the lines instead, which alone decides errors and names the first bad line.
 """
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -145,8 +148,9 @@ def parse_graph(text: str | bytes) -> CapacitatedGraph:
     capacities outside int64, repeated endpoint pairs), naming the first bad
     line; :func:`validate` checks connectivity and capacity injectivity.
     """
-    lines, (n, m) = _header(text, "n m", "edge")
-    rows, error = _rows(lines, m, n, "u v c", "edge")
+    source, (n, m) = _header(text, "n m", "edge")
+    rows, error = _rows(source, m, n, "u v c", "edge")
+    del source  # the file need not outlive its rows
     g = CapacitatedGraph(n, rows)
     repeat = _first_parallel(g)  # among the rows before the first bad line
     if repeat is not None:
@@ -172,8 +176,8 @@ def parse_pairs(text: str | bytes, n: int) -> np.ndarray:
     Follows the line rules of :func:`parse_graph`.  s = t is rejected here
     (no path semantics exist for a pair with equal endpoints).
     """
-    lines, (k,) = _header(text, "k", "pair")
-    rows, error = _rows(lines, k, n, "s t", "pair")
+    source, (k,) = _header(text, "k", "pair")
+    rows, error = _rows(source, k, n, "s t", "pair")
     same = np.flatnonzero(rows[:, 0] == rows[:, 1])  # in the rows before the first bad line
     if len(same):
         raise ParseError(int(same[0]) + 2, f"source equals target ({rows[same[0], 0]})")
@@ -183,22 +187,29 @@ def parse_pairs(text: str | bytes, n: int) -> np.ndarray:
     return rows
 
 
-def _header(text: str | bytes, names: str, noun: str) -> tuple[list[str], list[int]]:
-    """The lines of a graph or pairs file and the integers of its first line,
-    whose fields ``names`` names: vertex counts, then the count of ``noun``
-    lines that follow it."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
+def _header(text: str | bytes, names: str,
+            noun: str) -> tuple[bytes | list[str], list[int]]:
+    """A graph or pairs file and the integers of its first line, whose fields
+    ``names`` names: vertex counts, then the count of ``noun`` lines that
+    follow it.  The file comes back as bytes when the bulk path may read it,
+    and otherwise as its lines, for the line scan."""
+    if not text:
         raise ParseError(1, f"empty input, expected {names!r} header")
-    fields = lines[0].split()
+    if isinstance(text, str) and text.isascii():
+        text = text.encode()
+    if isinstance(text, bytes) and _bulk_readable(text):
+        source, end = text, text.find(b"\n")
+        first = text[:end if end >= 0 else None].decode()
+    else:
+        source = (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines()
+        first = source[0]
+    fields = first.split()
     if len(fields) != len(names.split()):
-        raise ParseError(1, f"expected {names!r}, got {lines[0]!r}")
+        raise ParseError(1, f"expected {names!r}, got {first!r}")
     try:
         *sizes, count = map(int, fields)
     except ValueError:
-        raise ParseError(1, f"non-integer header {lines[0]!r}") from None
+        raise ParseError(1, f"non-integer header {first!r}") from None
     for n in sizes:
         if n < 1:
             raise ParseError(1, f"vertex count must be positive, got {n}")
@@ -206,24 +217,42 @@ def _header(text: str | bytes, names: str, noun: str) -> tuple[list[str], list[i
             raise ParseError(1, f"vertex count {n} above {MAX_VERTICES}")
     if count < 0:
         raise ParseError(1, f"{noun} count must be nonnegative, got {count}")
-    return lines, [*sizes, count]
+    return source, [*sizes, count]
 
 
-def _rows(lines: list[str], count: int, n: int, fields: str,
+def _bulk_readable(data: bytes) -> bool:
+    """ASCII, and no line end that str.splitlines() sees and np.loadtxt does not."""
+    return data.isascii() and not any(
+        sep in data for sep in (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"))
+
+
+def _rows(source: bytes | list[str], count: int, n: int, fields: str,
           noun: str) -> tuple[np.ndarray, ParseError | None]:
-    """Lines 2..count+1 as int64 rows of the fields ``fields`` names, the first
-    two vertex ids in 1..n, and the error of the first bad line (a non-blank
-    one after them, or a missing ``noun`` line, counts), if any, with only the
-    rows before it."""
+    """Lines 2..count+1 of what :func:`_header` returned, as int64 rows of the
+    fields ``fields`` names, the first two vertex ids in 1..n, and the error
+    of the first bad line, if any, with only the rows before it.  np.loadtxt
+    skips blank lines, so the bytes must hold count LFs before trailing blanks."""
+    if isinstance(source, bytes):
+        if count and source.count(b"\n", 0, len(source.rstrip(b" \t\n"))) == count:
+            with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(io.BytesIO(source), dtype=np.int64, comments=None,
+                                  ndmin=2, skiprows=1, encoding="utf-8")
+                if (rows.shape == (count, len(fields.split()))
+                        and 1 <= rows[:, :2].min() and rows[:, :2].max() <= n):
+                    return rows, None
+        source = source.decode().splitlines()
+    return _scan_lines(source, count, n, fields, noun)
+
+
+def _scan_lines(lines: list[str], count: int, n: int, fields: str,
+                noun: str) -> tuple[np.ndarray, ParseError | None]:
+    """:func:`_rows` line by line with int(): the first bad line is a bad body
+    line, a missing ``noun`` line, or a non-blank line after the body."""
     body, width = lines[1:count + 1], len(fields.split())
     extra = next(filter(str.strip, lines[count + 1:]), None)
     error = None if extra is None else ParseError(
         lines.index(extra, count + 1) + 1, f"unexpected trailing content {extra!r}")
-    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        if rows.shape == (count, width) and 1 <= rows[:, :2].min() and rows[:, :2].max() <= n:
-            return rows, error
     rows = []
     try:
         for line_no, line in enumerate(body, start=2):

@@ -75,11 +75,15 @@ class RootedTreeIndex:
         self.parent_edge, self.depths, self._tin, self._tout = columns
 
     def _build_range_minima(self, tree: SpanningTree, rank: np.ndarray) -> None:
-        pos = np.zeros(self.n + 1, dtype=np.int64)
-        pos[tree.chain] = np.arange(self.n, dtype=np.int64)
+        # chain positions (below n) and ranks (below m) fit the smallest unsigned
+        # dtype that holds n and m: uint32, half of int64, for m below 2^32
+        dtype = np.min_scalar_type(max(self.n, self._graph.m))
+        pos = np.zeros(self.n + 1, dtype=dtype)
+        pos[tree.chain] = np.arange(self.n)
         # entry i of row j is the least rank of junctions i..i+2^j-1; no lookup
         # reads an entry whose window runs past the last junction
-        table = np.tile(rank[tree.junction], (len(tree.junction).bit_length(), 1))
+        table = np.tile(rank[tree.junction].astype(dtype),
+                        (len(tree.junction).bit_length(), 1))
         for j in range(1, len(table)):
             half = 1 << (j - 1)
             np.minimum(table[j - 1, :-half], table[j - 1, half:], out=table[j, :-half])
@@ -134,6 +138,9 @@ class RootedTreeIndex:
         return ((lo <= s_tin) & (s_tin < hi)) != ((lo <= t_tin) & (t_tin < hi))
 
     def tin_of(self, xs: np.ndarray) -> np.ndarray:
+        """Preorder numbers of the vertices xs; ValueError for any id outside 1..n."""
+        if np.size(xs) and not (1 <= np.min(xs) and np.max(xs) <= self.n):
+            raise ValueError(f"vertex ids out of range (n={self.n})")
         return self._tin[xs]
 
 

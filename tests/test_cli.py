@@ -137,6 +137,21 @@ def test_all_rejects_extra_pair_lines(tmp_path):
     assert r.stdout == ""
 
 
+def test_files_the_line_scan_reads(tmp_path):
+    # CRLF line ends send both files to the line scan, with the same answers;
+    # bytes that are not UTF-8 are an I/O-level usage error.
+    graph, pairs = tmp_path / "graph.txt", tmp_path / "pairs.txt"
+    graph.write_bytes(Path(G2).read_bytes().replace(b"\n", b"\r\n"))
+    pairs.write_bytes(Path(G2_PAIRS).read_bytes().replace(b"\n", b"\r\n"))
+    r = run_cli("all", str(graph), str(pairs))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "g2_all.txt").read_text()
+    graph.write_bytes(b"4 5\n1 2 \xff\n")
+    r = run_cli("validate", str(graph))
+    assert r.returncode == 2
+    assert "usage error: 'utf-8' codec can't decode byte 0xff" in r.stderr
+
+
 def test_all_with_no_pairs_emits_header_only():
     r = run_cli("all", G1, str(DATA / "no_pairs.txt"))
     assert r.returncode == 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from bptol import (CapacitatedGraph, ParseError, capacity_ranks,
                    diamond_example, parse_graph, parse_pairs, preprocess,
                    random_benchmark_graph, random_connected_graph, sample_pairs,
                    serialize_graph, single_edge_example, triangle_example, validate)
+from bptol import graphs
 from bptol.graphs import CHUNK, MAX_VERTICES, descending_edges
 
 from naive import naive_unreached
@@ -347,9 +349,34 @@ def _refuse(*args, **kwargs):
     raise ValueError("bulk path refused")
 
 
+# Lines the bulk reader could take apart differently from splitlines(): blank
+# or whitespace-only body lines (loadtxt skips them), every separator
+# splitlines() knows besides \n, \x1f (whitespace to str.split(), no line end),
+# no final newline, trailing blank lines, no body, and missing lines.
+SEPARATOR_CASES = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+LINE_CASES = [
+    "3 2\n1 2 5\n\n2 3 7\n", "3 2\n1 2 5\n \t\n2 3 7\n", "3 2\n\n1 2 5\n2 3 7\n",
+    "3 2\n1 2 5\n2 3 7", "3 2\n1 2 5\n2 3 7\n\n \n\t\n", "3 2\n1 2 5\n2 3 7 \t",
+    "3 2\n1\x1f2 5\n2 3 7\n", "3 2\n1 2 5\n2 3\x007\n", "3 0\n", "3 0", "3 0\n\n",
+    "3 0\n1 2 5\n", "3 3\n1 2 5\n2 3 7\n", "3 3\n1 2 5\n2 3 7", "3 3\n1 2 5\n2 3 7\n\n",
+    "3 2\n1 2 5\n2 3 7\n1 3 1\n", "3 2\n1 2 5\n2 3 7\n\n1 3 1", "\n3 2\n1 2 5\n2 3 7\n",
+    "", "\n", " 3 2\n 1 2 5\n\t2 3 7\n",
+    *("3 2" + sep + "1 2 5" + sep + "2 3 7" + sep for sep in SEPARATOR_CASES),
+    *("3 2\n1 2 5" + sep + "2 3 7\n" for sep in SEPARATOR_CASES),
+    *("3 2\n1 2 5\n2 3 7\n" + sep for sep in SEPARATOR_CASES),
+]
+PAIR_CASES = ["2\n1 3\n\n2 3\n", "2\n1 3\n \n2 3\n", "2\n1 3\n2 3", "2\n1 3\n2 3\n\n",
+              "0\n", "0\n\n", "3\n1 3\n2 3\n", "1\n1 3\n2 3\n",
+              *("2" + sep + "1 3" + sep + "2 3" + sep for sep in SEPARATOR_CASES)]
+
+
 def test_bulk_path_reads_like_the_scan(monkeypatch):
+    # Each text is read as str and as UTF-8 bytes, in bulk where the reader
+    # may, then by the line scan alone; all four outcomes must agree.
     rng = random.Random(8)
-    texts = []
+    texts = [(text, parse_graph) for text in LINE_CASES]
+    texts += [(text, lambda text: parse_pairs(text, 5)) for text in PAIR_CASES]
     for _ in range(2000):
         n, m = rng.randint(2, 8), rng.randint(0, 6)
         texts.append(("\n".join([f"{n} {m}", *_fuzz_body(rng, n, m, 3)]), parse_graph))
@@ -357,12 +384,49 @@ def test_bulk_path_reads_like_the_scan(monkeypatch):
         k = rng.randint(0, 6)
         texts.append(("\n".join([f"{k}", *_fuzz_body(rng, 5, k, 2)]),
                       lambda text: parse_pairs(text, 5)))
-    bulk = [_outcome(parse, text) for text, parse in texts]
-    monkeypatch.setattr(np, "loadtxt", _refuse)
-    for (text, parse), expected in zip(texts, bulk):
-        assert _same_outcome(_outcome(parse, text), expected), repr(text)
-    parsed = sum(not isinstance(outcome, tuple) for outcome in bulk)
+    bulk = [(_outcome(parse, text), _outcome(parse, text.encode())) for text, parse in texts]
+    monkeypatch.setattr(graphs, "_bulk_readable", lambda data: False)
+    for (text, parse), outcomes in zip(texts, bulk):
+        expected = _outcome(parse, text)
+        assert _same_outcome(_outcome(parse, text.encode()), expected), repr(text)
+        assert all(_same_outcome(got, expected) for got in outcomes), repr(text)
+    parsed = sum(not isinstance(outcome, tuple) for outcome, _ in bulk)
     assert 0.2 * len(texts) < parsed < 0.8 * len(texts)
+    # bytes that are not UTF-8 fail as decoding does
+    for data in (b"3 2\n1 2 \xff\n2 3 7\n", b"\xff", b"3 2\n1 2 5\x85\n2 3 7\n"):
+        with pytest.raises(UnicodeDecodeError):
+            parse_graph(data)
+
+
+def test_valid_ascii_input_is_read_in_bulk(monkeypatch):
+    # If np.loadtxt refused every input (say, by warning on some numpy), the
+    # line scan would read all of it and only the time would show.
+    def refuse(*args):
+        raise AssertionError("line scan used")
+
+    monkeypatch.setattr(graphs, "_scan_lines", refuse)
+    cases = [G2_TEXT, G2_TEXT.rstrip("\n"), G2_TEXT + "\n \n", G2_TEXT.replace(" ", "\t")]
+    for text in cases:
+        for data in (text, text.encode()):
+            assert parse_graph(data) == diamond_example()
+    for data in ("2\n1 3\n3 2\n", b"2\n1 3\n3 2"):
+        assert parse_pairs(data, 3).tolist() == [[1, 3], [3, 2]]
+
+
+def test_parse_holds_no_line_list():
+    # tracemalloc peaks on numpy 2.4: 16.3 MB for str and bytes input alike
+    # while the reader built a list of lines, 9.0 MB for both reading bytes in
+    # bulk, where the constructor's sorts set the peak.
+    text = serialize_graph(random_benchmark_graph(20_000, 100_000, 7))
+    for data in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            g = parse_graph(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 100_000
+        assert peak <= 10_000_000
 
 
 @st.composite

@@ -116,6 +116,9 @@ def test_out_of_range_arguments():
     for x in (0, -1, 5):
         with pytest.raises(ValueError):
             idx.depth(x)
+        with pytest.raises(ValueError):  # numpy would read -1 as vertex 4, 0 as slot 0
+            idx.tin_of(np.array([1, x]))
+    assert idx.tin_of(empty).tolist() == []
     tins = idx.tin_of(np.array([1, 4]))
     for e in (0, -1, 6):
         with pytest.raises(ValueError):

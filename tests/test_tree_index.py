@@ -113,6 +113,8 @@ def test_index_columns_are_read_only():
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert len(arrays) == 6 and all(g.m + 1 not in a.shape for a in arrays)
     assert np.array_equal(idx._table[0], capacity_ranks(g)[tree.junction])
+    # ranks and chain positions are stored in the smallest unsigned dtype
+    assert idx._table.dtype == idx._pos.dtype == np.uint8
 
 
 def _random_tree_graph(rng, max_n):
