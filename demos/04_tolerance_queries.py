@@ -46,7 +46,8 @@ assert oracle.query_edge(5)[0] == (INFINITY, 4)
 assert oracle.query_edge(4)[0] == (INFINITY, INFINITY)
 
 # finite_entries is the kernel behind query_edge: it lists only the pairs
-# with a finite side, as (pair index, lower, upper).  The CLI formats these
-# and copies an all-inf record for every other pair.
+# with a finite side, as (pair index, lower, upper).  The CLI splices these
+# records into one cached all-inf answer; an edge with none is that answer.
+# finite_block does the same for a block of edges at once, as `all` runs it.
 assert list(oracle.finite_entries(3)) == [(0, 4, INFINITY)]
 assert list(oracle.finite_entries(4)) == [(1, INFINITY, 4)]  # pair 2 only

@@ -4,7 +4,8 @@ Query time does not depend on graph size
 
 Preprocessing pays the graph-dependent cost once; afterwards an edge
 query is a handful of table lookups per pair.  Each query here is
-``finite_entries``, the one kernel behind ``query_edge`` and the CLI.  Doubling m should move
+``finite_entries``, the one-edge case of the kernel behind ``query_edge``
+and the CLI, which ``all`` runs a block of edges at a time.  Doubling m should move
 preprocessing time but leave per-query time flat.  This demo uses
 modest sizes so it runs in a few seconds; the bench subcommand scales
 the same experiment to millions of edges.

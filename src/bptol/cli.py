@@ -22,16 +22,20 @@ errors), 2 I/O or usage errors.  Tolerances print as integers or lowercase
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import math
 import random
 import sys
 import time
+import weakref
 from pathlib import Path
+from typing import Iterable
 
-from .graphs import (CapacitatedGraph, ParseError, parse_graph, parse_pairs,
+import numpy as np
+
+from .graphs import (CHUNK, CapacitatedGraph, ParseError, parse_graph, parse_pairs,
                      serialize_graph, validate)
-from .oracle import ToleranceOracle, preprocess
+from .oracle import Entry, ToleranceOracle, preprocess
 from .randgraph import (random_benchmark_graph, random_connected_graph,
                         random_query_edges, sample_pairs)
 from .reference import MAX_ENUMERATION_N, PairAnalysis
@@ -43,6 +47,7 @@ EXIT_USAGE = 2
 VERIFY_DEFAULTS = (8, 500, 42)
 BENCH_DEFAULTS = (100_000, 500_000, 1_000, 100_000, 7)
 PAIRS_PER_VERIFY_INSTANCE = 6
+_RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # see _pair_records
 
 
 def _load_validated(graph_path: str, break_ties: bool) -> CapacitatedGraph:
@@ -73,30 +78,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=1)
-def _pair_records(oracle: ToleranceOracle) -> tuple[list[str], list[str]]:
-    """Each pair's "i s t " prefix and its all-inf record, built once for the
-    oracle last asked about; callers only read them."""
-    prefixes = [f"{i} {s} {t} " for i, (s, t) in enumerate(oracle.pairs.tolist(), start=1)]
-    return prefixes, [p + "inf inf" for p in prefixes]
+def _pair_records(oracle: ToleranceOracle) -> tuple[list[str], list[int], str]:
+    """Each pair's "i s t " prefix, where its record starts in the all-inf
+    answer (then its length), and that answer; built once per live oracle."""
+    if (records := _RECORDS.get(oracle)) is None:
+        prefixes = [f"{i} {s} {t} " for i, (s, t) in enumerate(oracle.pairs.tolist(), start=1)]
+        lines = [p + "inf inf\n" for p in prefixes]
+        starts = list(itertools.accumulate(map(len, lines), initial=0))
+        records = _RECORDS[oracle] = prefixes, starts, "".join(lines)
+    return records
 
 
-def _answer_lines(oracle: ToleranceOracle, e: int) -> list[str]:
-    """The k records answering edge e.  Only pairs with a finite side are
-    formatted, the rest are copied from the all-inf records."""
-    prefixes, unbounded = _pair_records(oracle)
-    lines = unbounded.copy()
-    for i, lo, up in oracle.finite_entries(e):
-        lines[i] = f"{prefixes[i]}{lo} {up}"  # INFINITY prints as "inf"
-    return lines
+def _splice(oracle: ToleranceOracle, entries: Iterable[Entry]) -> str:
+    """The k records of one edge, each ending in a newline: the all-inf
+    answer with the records of ``entries``, in pair order, spliced in."""
+    prefixes, starts, text = _pair_records(oracle)
+    pieces, at = [], 0
+    for i, lo, up in entries:
+        pieces += text[at:starts[i]], f"{prefixes[i]}{lo} {up}\n"  # INFINITY prints as "inf"
+        at = starts[i + 1]
+    return "".join([*pieces, text[at:]])  # text itself when no record is finite
 
 
 def _answer_text(oracle: ToleranceOracle, e: int) -> str:
-    """The k records answering edge e as ``serve`` and ``all`` write them,
-    each ending in a newline."""
-    lines = _answer_lines(oracle, e)
-    lines.append("")
-    return "\n".join(lines)
+    """The k records answering edge e, as ``serve`` and ``all`` write them."""
+    return _splice(oracle, oracle.finite_entries(e))
+
+
+def _answer_lines(oracle: ToleranceOracle, e: int) -> list[str]:
+    """The k records answering edge e, without their newlines."""
+    return _answer_text(oracle, e).splitlines()
 
 
 def _resolve_request(g: CapacitatedGraph, line: str) -> int | None:
@@ -129,11 +140,16 @@ def cmd_serve(args) -> int:
 
 def cmd_all(args) -> int:
     oracle = _load_oracle(args)
-    g = oracle.graph
+    g, k = oracle.graph, len(oracle.pairs)
     out = sys.stdout
-    out.write(f"{g.n} {g.m} {len(oracle.pairs)}\n")
-    for e in g.edge_ids():
-        out.write(_answer_text(oracle, e))
+    out.write(f"{g.n} {g.m} {k}\n")
+    unbounded = _pair_records(oracle)[2]
+    block = max(1, CHUNK // max(k, 1))  # edges per block: about CHUNK records
+    for lo in range(1, g.m + 1, block):
+        texts = [unbounded] * min(block, g.m + 1 - lo)
+        for row, entries in oracle.finite_block(np.arange(lo, lo + len(texts))):
+            texts[row] = _splice(oracle, entries)
+        out.write("".join(texts))
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ The fixed optimal path for pair i is the tree path T(s_i, t_i); only its
 minimum-capacity edge e*_i is stored, as ``bottleneck_edges[i]`` — the path
 itself is never materialized.
 
-One kernel answers an edge for all k pairs at once by case analysis:
+The kernel answers a block of edges for all k pairs at once by case analysis:
 
 * e on T(s_i, t_i):  upper = +inf;  lower = +inf if e has no replacement
   edge (bridge), else c(e) - min(c(L[e]), c(e*_i)).
@@ -15,18 +15,16 @@ One kernel answers an edge for all k pairs at once by case analysis:
   U[e] is exactly e*_i (which always lies on the path), in which case
   upper = c(e*_i) - c(e).
 
-So only one side of an edge can be finite -- lower for a tree edge, upper for
-a non-tree edge -- and the kernel computes that side for the pairs where it
-is finite.  Every finite tolerance is a difference of two signed 64-bit
-capacities that lies in 0..2**64-1, so wrap-around uint64 subtraction of the
-capacities is exact over the whole int64 range.  With pairwise distinct
-capacities a finite tolerance is at least 1; under the tie-break of duplicate
-capacities it can be 0, so finiteness is carried by which pairs are listed,
-never by the value.
-
-``finite_entries`` is the kernel: it lists only the pairs with a finite side,
-as Python ints and ``INFINITY``.  ``query_edge`` is its list view, one
-(lower, upper) per pair.  Both cost O(k).
+So only one side of an edge can be finite: lower for a tree edge, upper for
+a non-tree edge.  The case analysis is one vectorized function per side over
+a block of B edge ids: lower for the tree edges with L[e] != 0 and a pair
+endpoint below them (a (B, k) ``index.on_path`` mask), upper for non-tree
+edges.  A finite tolerance is a difference of two int64 capacities in
+0..2**64-1, so uint64 wrap-around subtraction is exact.  Under the tie-break
+of duplicate capacities it can be 0, so finiteness is carried by which pairs
+are listed, never by the value.  ``finite_block`` sends each edge of a block
+to its side; ``finite_entries`` is its one-edge case, O(k); ``query_edge``
+its list view.
 
 A ToleranceOracle is immutable after preprocess; concurrent query calls from
 multiple threads are safe (pure reads, no locks).
@@ -58,10 +56,13 @@ class EdgeTolerances(NamedTuple):
 
 _UNBOUNDED = EdgeTolerances(INFINITY, INFINITY)
 
+Entry = tuple[int, Tolerance, Tolerance]  # (pair index, lower, upper)
+
 
 class ToleranceOracle:
     __slots__ = ("graph", "tree", "index", "tables", "pairs", "bottleneck_edges",
-                 "_s_tin", "_t_tin", "_estar_cap", "_cap_u", "_estar_cap_u")
+                 "_s_tin", "_t_tin", "_lower", "_estar_cap", "_cap_u", "_estar_cap_u",
+                 "__weakref__")
 
     def __init__(self, graph: CapacitatedGraph, tree: SpanningTree,
                  index: RootedTreeIndex, tables: ReplacementTables,
@@ -73,6 +74,9 @@ class ToleranceOracle:
         self.pairs = pairs
         ss, ts = pairs.T
         self._s_tin, self._t_tin = index.tin_of(pairs.T)
+        # a tree edge lies on a pair's path only if a pair endpoint lies below
+        # it, as few do; the lower side takes those with a replacement edge
+        self._lower = index.edges_above(pairs) & (tables.L != 0)
         #: e*_i, the minimum-capacity edge on the tree path of pair i
         self.bottleneck_edges = index.path_min_edge_batch(ss, ts)
         self.bottleneck_edges.flags.writeable = False
@@ -84,25 +88,47 @@ class ToleranceOracle:
 
     # -- queries -------------------------------------------------------------
 
-    def finite_entries(self, e: int) -> Iterator[tuple[int, Tolerance, Tolerance]]:
+    def _lower_side(self, es: np.ndarray) -> tuple[np.ndarray, Iterator[Entry]]:
+        """For the tree edges es, all with L != 0: each finite record's row
+        into es, and the records, in row then pair order (divmod beats np.nonzero)."""
+        rows, cols = divmod(np.flatnonzero(self.index.on_path(es, self._s_tin, self._t_tin)),
+                            len(self.pairs))
+        es = es[rows]
+        floor = np.minimum(self._estar_cap[cols], self.graph.edge_cap[self.tables.L[es]])
+        found = self._cap_u[es] - floor.view(np.uint64)
+        return rows, zip(cols.tolist(), found.tolist(), repeat(INFINITY))
+
+    def _upper_side(self, es: np.ndarray) -> tuple[np.ndarray, Iterator[Entry]]:
+        """``_lower_side`` for the non-tree edges es."""
+        rows, cols = divmod(np.flatnonzero(self.tables.U[es][:, None] == self.bottleneck_edges),
+                            len(self.pairs))
+        found = self._estar_cap_u[cols] - self._cap_u[es[rows]]
+        return rows, zip(cols.tolist(), repeat(INFINITY), found.tolist())
+
+    def finite_block(self, es: np.ndarray) -> Iterator[tuple[int, list[Entry]]]:
+        """(row into es, ``finite_entries(es[row])`` as a list) for each edge of
+        the int64 column es with a finite tolerance, lower side first; O(len(es) k)."""
+        if len(es) and not (1 <= es.min() and es.max() <= self.graph.m):
+            raise ValueError(f"edge ids out of range (m={self.graph.m})")
+        for side, at in ((self._lower_side, self._lower[es]),
+                         (self._upper_side, ~self.tree.is_tree_edge[es])):
+            where = np.flatnonzero(at)
+            rows, records = side(es[where])
+            starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()  # each edge's first
+            rows, records = where[rows].tolist(), list(records)
+            for a, b in zip(starts, starts[1:] + [len(rows)]):
+                yield rows[a], records[a:b]
+
+    def finite_entries(self, e: int) -> Iterator[Entry]:
         """(pair index, lower, upper) as Python ints or INFINITY, for every
         pair with a finite tolerance on edge e, in pair order; O(k).  Only one
         side can be finite: lower for a tree edge on the pair's path, upper
         for a non-tree edge whose U entry is the pair's e*."""
         if not 1 <= e <= self.graph.m:
             raise ValueError(f"edge id {e} out of range (m={self.graph.m})")
-        cap_e = self._cap_u[e]
-        if self.tree.is_tree_edge[e]:
-            rep = self.tables.L[e]
-            if rep == 0:
-                return iter(())
-            rows = np.flatnonzero(self.index.on_path(e, self._s_tin, self._t_tin))
-            floor = np.minimum(self._estar_cap[rows], self.graph.edge_cap[rep])
-            found = (cap_e - floor.view(np.uint64)).tolist()
-            return zip(rows.tolist(), found, repeat(INFINITY))
-        rows = np.flatnonzero(self.bottleneck_edges == self.tables.U[e])
-        found = (self._estar_cap_u[rows] - cap_e).tolist()
-        return zip(rows.tolist(), repeat(INFINITY), found)
+        if self._lower[e]:
+            return self._lower_side(np.array([e]))[1]
+        return iter(()) if self.tree.is_tree_edge[e] else self._upper_side(np.array([e]))[1]
 
     def query_edge(self, e: int) -> list[EdgeTolerances]:
         """All 2k tolerances of edge e, one (lower, upper) per pair, as Python

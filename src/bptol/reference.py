@@ -178,8 +178,8 @@ class PairAnalysis:
         for _, edges, bottleneck in _walk_paths(g, s, t):
             caps = [cap[e] for e in edges]
             m1 = min(caps)
-            am = edges[caps.index(m1)]
-            rest = [c for c in caps if c != m1]
+            i = caps.index(m1)
+            am, rest = edges[i], caps[:i] + caps[i + 1:]  # a tie with the minimum stays
             m2 = min(rest) if rest else math.inf
             records.append((int(bottleneck), am, m2, frozenset(edges)))
             for e in edges:
@@ -201,8 +201,8 @@ class PairAnalysis:
         w_caps = [cap[e] for e in w_edges]
         self._w_min = min(w_caps)
         assert self._w_min == self.bottleneck, "witness is not optimal"
-        self._w_argmin = w_edges[w_caps.index(self._w_min)]
-        rest = [c for c in w_caps if c != self._w_min]
+        i = w_caps.index(self._w_min)
+        self._w_argmin, rest = w_edges[i], w_caps[:i] + w_caps[i + 1:]
         self._w_min2 = min(rest) if rest else math.inf
         self._w_edge_set = frozenset(w_edges)
         self._avoid_cache: dict[int, float] = {}

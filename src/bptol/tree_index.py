@@ -125,17 +125,28 @@ class RootedTreeIndex:
             raise ValueError(f"vertex id {x} out of range (n={self.n})")
         return int(self.depths[x])
 
-    def on_path(self, e: int, s_tin: np.ndarray, t_tin: np.ndarray) -> np.ndarray:
+    def on_path(self, e: int | np.ndarray, s_tin: np.ndarray, t_tin: np.ndarray) -> np.ndarray:
         """For each pair, given as precomputed tins of s and t, whether tree
-        edge e lies on the tree path s..t; ValueError for any other edge id."""
-        if not 1 <= e <= self._graph.m:
-            raise ValueError(f"edge id {e} out of range (m={self._graph.m})")
-        u, v = self._graph.endpoints(e)
-        child = u if self.parent_edge[u] == e else v
-        if self.parent_edge[child] != e:
+        edge e lies on the tree path s..t; ValueError for any other edge id.
+        A column of B tree edges gives a (B, k) mask, one row per edge."""
+        g, es = self._graph, np.asarray(e)
+        if not ((1 <= es) & (es <= g.m)).all():
+            raise ValueError(f"edge id {e} out of range (m={g.m})")
+        u, v = g.edge_u[es], g.edge_v[es]
+        child = np.where(self.parent_edge[u] == es, u, v)
+        if not (self.parent_edge[child] == es).all():
             raise ValueError(f"edge {e} is not a tree edge")
-        lo, hi = self._tin[child], self._tout[child]
+        lo, hi = self._tin[child][..., None], self._tout[child][..., None]
         return ((lo <= s_tin) & (s_tin < hi)) != ((lo <= t_tin) & (t_tin < hi))
+
+    def edges_above(self, xs: np.ndarray) -> np.ndarray:
+        """A bool column over edge ids: whether one of the vertices xs lies in
+        the subtree of the edge's child endpoint; False off the tree."""
+        below = np.zeros(self.n + 1, dtype=np.int64)  # below[p]: how many xs have tin < p
+        np.cumsum(np.bincount(self.tin_of(xs).ravel(), minlength=self.n), out=below[1:])
+        above = np.zeros(self._graph.m + 1, dtype=bool)
+        above[self.parent_edge[2:]] = below[self._tout[2:]] != below[self._tin[2:]]
+        return above
 
     def tin_of(self, xs: np.ndarray) -> np.ndarray:
         """Preorder numbers of the vertices xs; ValueError for any id outside 1..n."""

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, exit codes, stream protocol."""
 
+import gc
+import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from bptol import cli
+from bptol.graphs import CapacitatedGraph, serialize_graph
+from bptol.oracle import preprocess
+from bptol.randgraph import random_connected_graph, sample_pairs
 from bptol.reference import PairAnalysis
 
 DATA = Path(__file__).parent / "data"
@@ -217,6 +223,76 @@ def test_serve_agrees_with_all_record_for_record():
     assert r.returncode == 0
     served = [line for line in r.stdout.splitlines() if line]
     assert served == records
+
+
+def _expected_dump(g, pairs) -> str:
+    """What ``all`` writes: the header, then each edge's ``serve`` answer."""
+    oracle = preprocess(g, pairs)
+    return f"{g.n} {g.m} {len(pairs)}\n" + "".join(
+        cli._answer_text(oracle, e) for e in g.edge_ids())
+
+
+def _dump(capsys, tmp_path, g, pairs, *flags) -> str:
+    graph, pairs_file = tmp_path / "graph.txt", tmp_path / "pairs.txt"
+    graph.write_text(serialize_graph(g))
+    pairs_file.write_text("".join([f"{len(pairs)}\n", *(f"{s} {t}\n" for s, t in pairs)]))
+    assert cli.main(["all", *flags, str(graph), str(pairs_file)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_all_is_the_per_edge_answers_block_by_block(monkeypatch, capsys, tmp_path, ties):
+    # A small CHUNK makes a dump span several blocks, end on a ragged last
+    # block, and reach one edge per block when k > CHUNK.
+    chunk = 7
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    rng = random.Random(4242 + ties)
+    kinds = set()
+    for _ in range(40):
+        g = random_connected_graph(rng, 12)
+        if ties:  # coarsened capacities tie often
+            g = CapacitatedGraph(g.n, [(g.edge_u[e], g.edge_v[e], g.edge_cap[e] // 8)
+                                       for e in g.edge_ids()])
+        pairs = sample_pairs(rng, g.n, rng.randint(1, 12)).tolist()
+        block = max(1, chunk // len(pairs))
+        if len(pairs) > chunk:
+            kinds.add("one edge per block")
+        elif g.m > block and g.m % block:
+            kinds.add("ragged last block")
+        flags = ["--break-ties"] if ties else []
+        assert _dump(capsys, tmp_path, g, pairs, *flags) == _expected_dump(g, pairs)
+    assert kinds == {"one edge per block", "ragged last block"}
+
+
+def test_all_block_by_block_with_no_pairs_or_no_edges(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "CHUNK", 2)
+    g = random_connected_graph(random.Random(5), 8)
+    assert _dump(capsys, tmp_path, g, []) == f"{g.n} {g.m} 0\n"
+    assert _dump(capsys, tmp_path, CapacitatedGraph(1, []), []) == "1 0 0\n"
+
+
+def test_each_oracle_gets_its_own_all_inf_answer():
+    # Two oracles, alternated in one process: the cached all-inf text and the
+    # spliced records always belong to the oracle asked about.
+    g = CapacitatedGraph(4, [(1, 2, 10), (2, 3, 8), (3, 4, 6), (1, 3, 4), (2, 4, 2)])
+    first, second = preprocess(g, [(1, 2), (3, 4)]), preprocess(g, [(3, 1)])
+    unbounded = {first: "1 1 2 inf inf\n2 3 4 inf inf\n", second: "1 3 1 inf inf\n"}
+    seen = set()
+    for _ in range(2):
+        for oracle in (first, second, first):
+            for e in g.edge_ids():
+                want = "".join(f"{i} {s} {t} {lo} {up}\n" for i, ((s, t), (lo, up)) in
+                               enumerate(zip(oracle.pairs.tolist(), oracle.query_edge(e)), 1))
+                assert cli._answer_text(oracle, e) == want
+                assert cli._answer_lines(oracle, e) == want.splitlines()
+                if want == unbounded[oracle]:
+                    seen.add(oracle)
+    assert seen == {first, second}
+    # the cache holds no oracle alive
+    gone = weakref.ref(first)
+    del first, oracle, unbounded, seen
+    gc.collect()
+    assert gone() is None
 
 
 def test_verify_small_run_passes():

@@ -123,6 +123,11 @@ def test_out_of_range_arguments():
     for e in (0, -1, 6):
         with pytest.raises(ValueError):
             idx.on_path(e, tins[:1], tins[1:])
+    o = preprocess(g, [(1, 4)])
+    for es in ([1, 0], [6], [-1, 2]):
+        with pytest.raises(ValueError):
+            list(o.finite_block(np.array(es)))
+    assert list(o.finite_block(np.array([], dtype=np.int64))) == []
 
 
 def test_preprocess_rejects_invalid_pairs():
@@ -221,6 +226,16 @@ def _check_kernel(o, g, pairs):
         for _, lo, up in listed:
             assert (lo is INF) != (up is INF)
             assert type(up if lo is INF else lo) is int
+    # finite_block lists the same records for any column of edge ids, here
+    # every edge twice, in shuffled order, and only edges with a record
+    es = np.random.default_rng(g.m).permutation(np.tile(np.arange(1, g.m + 1), 2))
+    block = {}
+    for row, entries in o.finite_block(es):
+        assert row not in block
+        block[row] = list(entries)
+        assert block[row]
+    assert block == {row: list(o.finite_entries(int(e))) for row, e in enumerate(es.tolist())
+                     if list(o.finite_entries(int(e)))}
 
 
 def test_batch_matches_scalar():

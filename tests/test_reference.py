@@ -122,6 +122,24 @@ def test_off_path_edge_capped_by_its_detours():
     assert o.query_edge(4) == [(INF, INF)]
 
 
+def test_tied_minimum_keeps_its_twin_in_the_second_minimum():
+    # The witness path 4-1 is edge 1 alone, but a path's second minimum must
+    # drop only the argmin's position: with edges tying the minimum, dropping
+    # every one of them overstated what raising an off-path edge could win.
+    # Raising edge 5 (4-5, capacity -2) never beats the witness's value 2.
+    g = CapacitatedGraph(5, [(1, 4, 2), (1, 5, -2), (2, 4, -2), (1, 3, -1),
+                             (4, 5, -2), (3, 4, 2), (3, 5, 2), (2, 3, 0)])
+    analysis = PairAnalysis(g, 4, 1)
+    assert analysis.tolerances(5) == (INF, INF)
+    for delta in (4, 5, 100):
+        assert analysis.still_optimal(5, delta)
+    assert preprocess(g, [(4, 1)]).query_edge(5) == [(INF, INF)]
+    # The witness's own second minimum: on a path whose two least capacities
+    # tie, raising the argmin edge 1 leaves the value 2 to its twin, edge 2.
+    path = PairAnalysis(CapacitatedGraph(4, [(1, 2, 2), (2, 3, 2), (3, 4, 5)]), 1, 4)
+    assert all(path.still_optimal(e, delta) for e in (1, 2, 3) for delta in (-1, 3, 100))
+
+
 FORK = CapacitatedGraph(
     5, [(1, 2, 7), (2, 3, 5), (3, 4, 6), (3, 5, 9), (5, 4, 8)]
 )

@@ -204,6 +204,42 @@ def test_on_path_matches_tree_paths():
         assert on.tolist() == [e in path for path in paths]
 
 
+def test_on_path_answers_a_block_of_tree_edges():
+    # A column of B tree edges gives one row per edge, the rows of the
+    # one-edge form; a non-tree edge anywhere in the column is refused.
+    rng = random.Random(80)
+    g = random_connected_graph(rng, 32)
+    tree, idx = _indexed(g)
+    tins = idx.tin_of(np.array([rng.randint(1, g.n) for _ in range(40)]))
+    s_tin, t_tin = tins[:20], tins[20:]
+    es = np.array(sorted(tree.edge_ids))[::-1]
+    block = idx.on_path(es, s_tin, t_tin)
+    assert block.shape == (len(es), 20)
+    for row, e in zip(block, es.tolist()):
+        assert np.array_equal(row, idx.on_path(e, s_tin, t_tin))
+    assert idx.on_path(es[:0], s_tin, t_tin).shape == (0, 20)
+    off_tree = next(e for e in g.edge_ids() if e not in tree)
+    for bad in (off_tree, 0, g.m + 1):
+        with pytest.raises(ValueError):
+            idx.on_path(np.append(es, bad), s_tin, t_tin)
+
+
+def test_edges_above_marks_the_tree_edges_over_some_vertex():
+    # A tree edge is above x exactly when it lies on the tree path from x up
+    # to the root, vertex 1; the oracle skips the other tree edges' paths.
+    rng = random.Random(81)
+    for _ in range(30):
+        g = random_connected_graph(rng, 16)
+        tree, idx = _indexed(g)
+        xs = rng.sample(range(1, g.n + 1), rng.randint(0, min(4, g.n)))
+        want = set()
+        for x in xs:
+            if x != 1:
+                want |= set(tree_path_edges(g, tree.edge_ids, x, 1))
+        above = idx.edges_above(np.array(xs, dtype=np.int64))
+        assert np.flatnonzero(above).tolist() == sorted(want)
+
+
 def _shaped_graph(rng, n, shape, chords, ties=False):
     """A path-shaped (vertex 1 at one end) or star-shaped maximum spanning
     tree holding the n-1 largest capacities, plus random chords below it.
